@@ -2,26 +2,29 @@
 //! [`Mechanism`] baselines, driven by the *same* shared [`tactic_net`]
 //! transport as the TACTIC simulation.
 //!
-//! Because both planes run on one event loop, "same topologies, link
-//! models, and Zipf-window workload" is structural: the comparison in the
-//! paper's motivation (§1) — how much bandwidth client-side AC wastes on
-//! unauthorized users, how much load/latency always-online provider auth
-//! costs — differs only in node logic.
+//! Both planes run on one event loop and assemble their runs through the
+//! same [`Scenario`] methods, so link models, the Zipf-window workload,
+//! the edge defenses and the paper topologies are shared structurally:
+//! the comparison in the paper's motivation (§1) — how much bandwidth
+//! client-side AC wastes on unauthorized users, how much load/latency
+//! always-online provider auth costs — differs only in node logic.
+//! Generated topologies are the exception: each plane salts its run RNG
+//! differently (`RNG_SALT` below), so one seed on a
+//! [`TopologyChoice::Custom`](tactic::scenario::TopologyChoice::Custom)
+//! network yields a different graph per plane.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
-use tactic::scenario::{Scenario, TopologyChoice};
+use tactic::scenario::{Assembly, Scenario};
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::name::Name;
-use tactic_ndn::packet::{Interest, Packet};
+use tactic_ndn::packet::{fan_out, Packet};
 use tactic_net::{
-    populate_fib, provider_prefix, run_sharded_profiled, ApRelay, AttackClass, Catalog,
-    ChurnConfig, EdgeDefense, Emit, Links, Net, NetConfig, NetObserver, NodePlane, NoopObserver,
-    PlaneCtx, RequesterConfig, ShardSpec, ShardedStats, TransportReport, ZipfRequester,
-    ATTACK_STREAM,
+    emit_requests, populate_fib, provider_prefix, ApRelay, AttackFleet, Catalog, Emit, Net,
+    NetObserver, NodePlane, NoopObserver, PlaneCtx, RequesterConfig, ShardSpec, ShardablePlane,
+    ShardedStats, SweepGauges, TransportReport, ZipfRequester, ATTACK_STREAM,
 };
-use tactic_sim::rng::Rng;
 use tactic_sim::stats::{ratio, TimeSeries};
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
@@ -29,12 +32,17 @@ use tactic_telemetry::{
     SpanProfiler,
 };
 use tactic_topology::graph::{NodeId, Role};
-use tactic_topology::roles::{build_topology, Topology};
-use tactic_topology::shard::{ShardError, ShardMap};
+use tactic_topology::shard::ShardError;
 
-use crate::adversary::{self, BaselineAdversary};
+use crate::adversary::BaselineAdversary;
 use crate::mechanism::Mechanism;
 use crate::provider::BaselineProvider;
+
+/// The baseline planes' RNG salt (see [`Scenario::assembly`]). It seeds
+/// generated topologies too, so on a custom topology the baselines and
+/// the TACTIC plane (salted `0x7AC7_1C00`) run different graphs for one
+/// seed.
+const RNG_SALT: u64 = 0xBA5E_11E5;
 
 /// What one baseline run measured.
 #[derive(Clone, Default)]
@@ -158,50 +166,21 @@ enum Node {
 pub struct BaselinePlane<PO: ProtocolObserver = NoopProtocolObserver> {
     mechanism: Mechanism,
     nodes: Vec<Node>,
-    /// PIT records summed over this instance's live routers, one entry
-    /// per purge sweep (see `TacticPlane` for the shard-merge rationale).
-    pit_sweep_sums: Vec<u64>,
-    /// Content-store entries summed the same way, one entry per sweep.
-    cs_sweep_sums: Vec<u64>,
-    /// Per-node attack drivers — `Some` only at attacker nodes while an
-    /// attack plan is active. A node with a driver ignores its windowed
-    /// requester entirely (open-loop fleet).
-    adversaries: Vec<Option<BaselineAdversary>>,
-    /// The sentinel timeout name that paces the attack drivers.
-    attack_tick: Name,
+    /// The open-loop attack drivers of an active attack plan (none
+    /// otherwise).
+    fleet: AttackFleet<BaselineAdversary>,
     proto: PO,
 }
 
 impl<PO: ProtocolObserver> BaselinePlane<PO> {
-    fn push_requester_sends(
-        proto: &mut PO,
-        hop: Hop,
-        r: &ZipfRequester,
-        out: &mut Vec<Emit>,
-        sends: Vec<Interest>,
-    ) {
-        for i in sends {
-            proto.on_interest_emitted(hop, i.nonce(), i.name());
-            out.push(Emit::Timeout {
-                name: i.name().clone(),
-                delay: r.timeout_for(i.name()),
-            });
-            out.push(Emit::Send {
-                face: FaceId::new(0),
-                packet: Packet::Interest(i),
-                compute: SimDuration::ZERO,
-            });
-        }
-    }
-
     fn into_report(self, transport: TransportReport) -> (BaselineReport, PO) {
         let mut report = BaselineReport {
             mechanism_name: self.mechanism.to_string(),
             events: transport.events,
             peak_queue_depth: transport.peak_queue_depth,
             drops: transport.drops,
-            peak_pit_records: self.pit_sweep_sums.iter().copied().max().unwrap_or(0),
-            peak_cs_entries: self.cs_sweep_sums.iter().copied().max().unwrap_or(0),
+            peak_pit_records: transport.peak_pit_records(),
+            peak_cs_entries: transport.peak_cs_entries(),
             samples: transport.samples,
             profile: transport.profile,
             ..Default::default()
@@ -254,51 +233,36 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
         match &mut self.nodes[node.index()] {
             Node::Router(tables) => {
                 let hop = Hop::new(node_id, NodeRole::CoreRouter, now);
-                let sends: Vec<(FaceId, Packet)> = match packet {
+                let send = |face, packet| Emit::Send {
+                    face,
+                    packet,
+                    compute: SimDuration::ZERO,
+                };
+                match packet {
                     Packet::Interest(i) => {
                         proto.on_interest_hop(hop, i.nonce(), i.name());
                         match process_interest(tables, &i, face, now, Vec::new()) {
                             InterestAction::ReplyFromCache(d) => {
                                 proto.on_cache_hit(hop, d.name());
-                                vec![(face, Packet::Data(d))]
+                                out.push(send(face, Packet::Data(d)));
                             }
                             // Relay the Interest by move: no copy made.
-                            InterestAction::Forward(f) => vec![(f, Packet::Interest(i))],
-                            _ => Vec::new(),
+                            InterestAction::Forward(f) => out.push(send(f, Packet::Interest(i))),
+                            _ => {}
                         }
                     }
                     Packet::Data(d) => {
                         let action = process_data(tables, &d, now);
-                        // Clone only on genuine fan-out: the last pending
-                        // requester takes the Data by move.
-                        let recs = action.downstream;
-                        let last = recs.len().saturating_sub(1);
-                        let mut d = Some(d);
-                        recs.iter()
-                            .enumerate()
-                            .map(|(idx, rec)| {
-                                let pkt = if idx == last {
-                                    d.take().expect("consumed only at the last record")
-                                } else {
-                                    d.as_ref().expect("present before the last record").clone()
-                                };
-                                (rec.face, Packet::Data(pkt))
-                            })
-                            .collect()
+                        fan_out(action.downstream, d, |rec, d| {
+                            out.push(send(rec.face, Packet::Data(d)));
+                        });
                     }
-                    Packet::Nack(_) => Vec::new(),
-                };
+                    Packet::Nack(_) => {}
+                }
                 // Bounded-PIT enforcement (no-op when unbounded): evicted
                 // records surface through the shared drop ledger.
                 for evicted in tables.pit.evict_over_capacity() {
                     ctx.drops.pit_full += evicted.records().len() as u64;
-                }
-                for (f, pkt) in sends {
-                    out.push(Emit::Send {
-                        face: f,
-                        packet: pkt,
-                        compute: SimDuration::ZERO,
-                    });
                 }
             }
             Node::Provider(p) => {
@@ -320,63 +284,24 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
                 }
             }
             Node::Requester(r) => {
-                if self.adversaries[node.index()].is_some() {
+                if self.fleet.drives(node) {
                     return; // Open-loop fleet: replies are never tracked.
                 }
                 if let Packet::Data(d) = &packet {
                     let hop = Hop::new(node_id, NodeRole::Consumer, now);
                     proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
                     let sends = r.on_data(d, now);
-                    Self::push_requester_sends(proto, hop, r, out, sends);
+                    emit_requests(proto, hop, sends, |n| r.timeout_for(n), out);
                 }
             }
-            Node::Ap(ap) => match packet {
-                Packet::Interest(i) => {
-                    if face == ap.upstream {
-                        return; // Interests never flow AP-ward.
-                    }
-                    // No tag, no identity: baseline replies are broadcast
-                    // to everyone pending on the name.
-                    ap.note(i.name().clone(), face, now, None);
-                    out.push(Emit::Send {
-                        face: ap.upstream,
-                        packet: Packet::Interest(i),
-                        compute: SimDuration::ZERO,
-                    });
-                }
-                Packet::Data(d) => {
-                    let faces = ap.claim(d.name(), None);
-                    // Clone only on genuine fan-out: the last claimant
-                    // takes the packet by move.
-                    let last = faces.len().saturating_sub(1);
-                    let mut d = Some(d);
-                    for (idx, f) in faces.iter().enumerate() {
-                        let pkt = if idx == last {
-                            d.take().expect("consumed only at the last claimant")
-                        } else {
-                            d.as_ref()
-                                .expect("present before the last claimant")
-                                .clone()
-                        };
-                        out.push(Emit::Send {
-                            face: *f,
-                            packet: Packet::Data(pkt),
-                            compute: SimDuration::ZERO,
-                        });
-                    }
-                }
-                Packet::Nack(_) => {}
-            },
+            // No tag, no identity: baseline replies are broadcast to
+            // everyone pending on the name.
+            Node::Ap(ap) => ap.relay(face, packet, now, |_, _| {}, |_| None, out),
         }
     }
 
     fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.adversaries[node.index()].is_some() {
-            // Arm the attack pacer instead of the windowed requester.
-            out.push(Emit::Timeout {
-                name: self.attack_tick.clone(),
-                delay: adversary::TICK,
-            });
+        if self.fleet.on_start(node, out) {
             return;
         }
         let Node::Requester(r) = &mut self.nodes[node.index()] else {
@@ -384,7 +309,7 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
         };
         let sends = r.fill(ctx.now);
         let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        Self::push_requester_sends(&mut self.proto, hop, r, out, sends);
+        emit_requests(&mut self.proto, hop, sends, |n| r.timeout_for(n), out);
     }
 
     fn on_timeout(
@@ -395,23 +320,10 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
         ctx: &mut PlaneCtx<'_>,
         out: &mut Vec<Emit>,
     ) {
-        if name == self.attack_tick {
-            let Some(driver) = self.adversaries[node.index()].as_mut() else {
-                return;
-            };
-            let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-            for i in driver.on_tick(ctx.now) {
-                self.proto.on_interest_emitted(hop, i.nonce(), i.name());
-                out.push(Emit::Send {
-                    face: FaceId::new(0),
-                    packet: Packet::Interest(i),
-                    compute: SimDuration::ZERO,
-                });
-            }
-            out.push(Emit::Timeout {
-                name,
-                delay: adversary::TICK,
-            });
+        if self
+            .fleet
+            .on_timeout(node, &name, ctx.now, &mut self.proto, out)
+        {
             return;
         }
         let Node::Requester(r) = &mut self.nodes[node.index()] else {
@@ -420,27 +332,23 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
         let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
         self.proto.on_timeout_expired(hop, &name, sent);
         let sends = r.on_timeout(&name, sent, ctx.now);
-        Self::push_requester_sends(&mut self.proto, hop, r, out, sends);
+        emit_requests(&mut self.proto, hop, sends, |n| r.timeout_for(n), out);
     }
 
-    fn on_purge(&mut self, now: SimTime) {
-        // Sample PIT/CS occupancy *before* sweeping so the peaks reflect
-        // what loss actually accumulated, then purge expired entries.
-        let mut pit_records = 0u64;
-        let mut cs_entries = 0u64;
+    fn on_purge(&mut self, now: SimTime) -> SweepGauges {
+        let mut gauges = SweepGauges::default();
         for node in &mut self.nodes {
             match node {
                 Node::Router(t) => {
-                    pit_records += t.pit.total_records() as u64;
-                    cs_entries += t.cs.len() as u64;
+                    gauges.pit_records += t.pit.total_records() as u64;
+                    gauges.cs_entries += t.cs.len() as u64;
                     t.pit.purge_expired(now);
                 }
-                Node::Ap(ap) => ap.purge(now, SimDuration::from_secs(4)),
+                Node::Ap(ap) => ap.purge(now),
                 _ => {}
             }
         }
-        self.pit_sweep_sums.push(pit_records);
-        self.cs_sweep_sums.push(cs_entries);
+        gauges
     }
 
     fn on_sample(&mut self, _now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {
@@ -475,7 +383,7 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
     }
 
     fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.adversaries[node.index()].is_some() {
+        if self.fleet.drives(node) {
             return; // The open-loop fleet keeps its pace across moves.
         }
         let Node::Requester(r) = &mut self.nodes[node.index()] else {
@@ -483,7 +391,16 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
         };
         let sends = r.on_move(ctx.now);
         let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        Self::push_requester_sends(&mut self.proto, hop, r, out, sends);
+        emit_requests(&mut self.proto, hop, sends, |n| r.timeout_for(n), out);
+    }
+}
+
+impl<PO: ProtocolObserver> ShardablePlane for BaselinePlane<PO> {
+    fn adopt(&mut self, owner: &mut Self, node: NodeId) {
+        std::mem::swap(
+            &mut self.nodes[node.index()],
+            &mut owner.nodes[node.index()],
+        );
     }
 }
 
@@ -548,13 +465,9 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
         proto: PO,
         shard: Option<ShardSpec>,
     ) -> Self {
-        let rng = Rng::seed_from_u64(seed ^ 0xBA5E_11E5);
-        let topo: Topology = match scenario.topology {
-            TopologyChoice::Paper(p) => p.build(seed),
-            TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-        };
+        let asm = scenario.assembly(seed, RNG_SALT);
+        let Assembly { rng, topo, links } = &asm;
         let n = topo.graph.node_count();
-        let links = Links::build(&topo);
 
         let catalog: Catalog = (0..topo.providers.len())
             .map(|i| {
@@ -566,8 +479,7 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
             })
             .collect();
 
-        let clients: std::collections::HashSet<u64> =
-            topo.clients.iter().map(|c| c.index() as u64).collect();
+        let clients: HashSet<u64> = topo.clients.iter().map(|c| c.index() as u64).collect();
 
         // Routers: disable caching entirely for provider-auth (protected
         // content must reach the provider).
@@ -577,26 +489,14 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
             0
         };
 
-        let mut tables_map: HashMap<usize, Tables> = HashMap::new();
-        for r in topo.routers() {
-            let mut tables = Tables::new(cs_capacity);
-            tables.pit.set_capacity(scenario.defense.pit_capacity);
-            tables_map.insert(r.index(), tables);
-        }
-        populate_fib(&topo, &links, |rnode, _i, prefix, face, cost_us| {
-            tables_map
-                .get_mut(&rnode.index())
-                .expect("router")
-                .fib
-                .add_route(prefix, face, cost_us);
-        });
-
         let mut nodes = Vec::with_capacity(n);
         let mut provider_idx = 0usize;
         for node in topo.graph.nodes() {
             let state = match topo.graph.role(node) {
                 Role::CoreRouter | Role::EdgeRouter => {
-                    Node::Router(tables_map.remove(&node.index()).expect("router"))
+                    let mut tables = Tables::new(cs_capacity);
+                    tables.pit.set_capacity(scenario.defense.pit_capacity);
+                    Node::Router(tables)
                 }
                 Role::Provider => {
                     let (prefix, objects, chunks) = catalog[provider_idx].clone();
@@ -623,88 +523,45 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
                     rng.fork(0x200 + node.index() as u64),
                 ))),
                 Role::AccessPoint => Node::Ap(
-                    ApRelay::new(&topo, &links, node)
+                    ApRelay::new(topo, links, node)
                         .expect("validated topology: AP wired to an edge router"),
                 ),
             };
             nodes.push(state);
         }
+        populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
+            if let Node::Router(t) = &mut nodes[rnode.index()] {
+                t.fib.add_route(prefix, face, cost_us);
+            }
+        });
 
         // Adversarial fleet: an active plan repurposes every attacker
-        // into an open-loop traffic source ([`crate::adversary`]);
-        // Churn instead hands the transport a schedule of aggressive
-        // Move events, exactly as on the TACTIC plane.
+        // into an open-loop traffic source ([`crate::adversary`]).
         let mut adversaries: Vec<Option<BaselineAdversary>> = (0..n).map(|_| None).collect();
-        let mut churn: Option<ChurnConfig> = None;
-        if scenario.attack.active() {
-            let class = scenario.attack.class.expect("active plan names a class");
-            if class == AttackClass::Churn {
-                let mut churn_nodes = topo.attackers.clone();
-                churn_nodes.sort_unstable();
-                churn = Some(ChurnConfig {
-                    nodes: churn_nodes,
-                    mean_dwell: SimDuration::from_secs(2),
-                });
-            } else {
-                let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
-                for &anode in &topo.attackers {
-                    let principal = anode.index() as u64;
-                    adversaries[anode.index()] = Some(BaselineAdversary::new(
-                        class,
-                        principal,
-                        scenario.attack.intensity,
-                        lifetime_ms,
-                        rng.fork(ATTACK_STREAM ^ principal),
-                        catalog.clone(),
-                        mechanism.per_request_provider_auth(),
-                    ));
-                }
+        if let Some(class) = scenario.attack.driver_class() {
+            let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
+            for &anode in &topo.attackers {
+                let principal = anode.index() as u64;
+                adversaries[anode.index()] = Some(BaselineAdversary::new(
+                    class,
+                    principal,
+                    scenario.attack.intensity,
+                    lifetime_ms,
+                    rng.fork(ATTACK_STREAM ^ principal),
+                    catalog.clone(),
+                    mechanism.per_request_provider_auth(),
+                ));
             }
         }
-
-        // Edge defenses enforced by the transport at send time; the
-        // bounded PIT is applied to the router tables above.
-        let defense =
-            if scenario.defense.rate_limit.is_some() || scenario.defense.face_cap.is_some() {
-                Some(EdgeDefense::new(
-                    scenario.defense.rate_limit,
-                    scenario.defense.face_cap,
-                    topo.clients
-                        .iter()
-                        .chain(topo.attackers.iter())
-                        .copied()
-                        .collect(),
-                    topo.access_points.clone(),
-                    topo.edge_routers.clone(),
-                ))
-            } else {
-                None
-            };
 
         let plane = BaselinePlane {
             mechanism,
             nodes,
-            pit_sweep_sums: Vec::new(),
-            cs_sweep_sums: Vec::new(),
-            adversaries,
-            attack_tick: adversary::tick_name(),
+            fleet: AttackFleet::new(adversaries),
             proto,
         };
-        let config = NetConfig {
-            duration: scenario.duration,
-            mobility: scenario.mobility,
-            cost: scenario.cost_model.clone(),
-            faults: scenario.faults.clone(),
-            sample_every: scenario.sample_every,
-            profile: scenario.profile,
-            defense,
-            churn,
-        };
         BaselineNetwork {
-            net: match shard {
-                None => Net::assemble_observed(&topo, links, plane, rng, config, observer),
-                Some(s) => Net::assemble_sharded(&topo, links, plane, rng, config, observer, s),
-            },
+            net: scenario.assemble(asm, plane, observer, shard),
         }
     }
 
@@ -741,103 +598,25 @@ where
     MO: Fn(u32) -> O + Sync,
     MP: Fn(u32) -> PO + Sync,
 {
-    let rng = Rng::seed_from_u64(seed ^ 0xBA5E_11E5);
-    let topo: Topology = match scenario.topology {
-        TopologyChoice::Paper(p) => p.build(seed),
-        TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-    };
-    let shard_map = ShardMap::partition(&topo, shards)?;
-    let lookahead = shard_map.lookahead(scenario.any_mobility());
-    let horizon = SimTime::ZERO + scenario.duration;
-    let shard_of = shard_map.shard_of.clone();
-    drop(topo);
-
-    let (results, mut stats) =
-        run_sharded_profiled(shards, lookahead, horizon, scenario.profile, |s| {
-            BaselineNetwork::build_inner(
-                scenario,
-                mechanism,
-                seed,
-                make_observer(s),
-                make_proto(s),
-                Some(ShardSpec {
-                    k: shards,
-                    my_shard: s,
-                    shard_of: shard_map.shard_of.clone(),
-                }),
-            )
-            .net
-        });
-    stats.edge_cut = shard_map.edge_cut;
-
-    let mut planes = Vec::with_capacity(shards);
-    let mut observers = Vec::with_capacity(shards);
-    let mut transports = Vec::with_capacity(shards);
-    for (plane, obs, transport) in results {
-        planes.push(plane);
-        observers.push(obs);
-        transports.push(transport);
-    }
-    let merged = TransportReport::merge_shards(&transports);
-
-    // Stitch the owned node states back into one plane, in node-id
-    // order, folding the mirrored per-sweep PIT/CS sums element-wise.
-    // Per-shard sweep maxima feed the stats before the fold erases them.
-    let mut protos = Vec::with_capacity(shards);
-    let mut pit_sweep_sums: Vec<u64> = Vec::new();
-    let mut cs_sweep_sums: Vec<u64> = Vec::new();
-    let mut per_shard_nodes: Vec<Vec<Option<Node>>> = Vec::with_capacity(shards);
-    for plane in planes {
-        let BaselinePlane {
-            mechanism: _,
-            nodes,
-            pit_sweep_sums: sums,
-            cs_sweep_sums: cs_sums,
-            adversaries: _,
-            attack_tick: _,
-            proto,
-        } = plane;
-        stats
-            .per_shard_peak_pit
-            .push(sums.iter().copied().max().unwrap_or(0));
-        stats
-            .per_shard_peak_cs
-            .push(cs_sums.iter().copied().max().unwrap_or(0));
-        if pit_sweep_sums.len() < sums.len() {
-            pit_sweep_sums.resize(sums.len(), 0);
-        }
-        for (i, v) in sums.iter().enumerate() {
-            pit_sweep_sums[i] += v;
-        }
-        if cs_sweep_sums.len() < cs_sums.len() {
-            cs_sweep_sums.resize(cs_sums.len(), 0);
-        }
-        for (i, v) in cs_sums.iter().enumerate() {
-            cs_sweep_sums[i] += v;
-        }
-        protos.push(proto);
-        per_shard_nodes.push(nodes.into_iter().map(Some).collect());
-    }
-    let nodes: Vec<Node> = shard_of
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            per_shard_nodes[s as usize][i]
-                .take()
-                .expect("every node owned by exactly one shard")
-        })
+    let run = scenario.run_sharded_plane(seed, RNG_SALT, shards, |spec| {
+        let s = spec.my_shard;
+        BaselineNetwork::build_inner(
+            scenario,
+            mechanism,
+            seed,
+            make_observer(s),
+            make_proto(s),
+            Some(spec),
+        )
+        .net
+    })?;
+    let mut planes = run.planes.into_iter();
+    let host = planes.next().expect("at least one shard");
+    let (report, proto) = host.into_report(run.transport);
+    let protos = std::iter::once(proto)
+        .chain(planes.map(|p| p.proto))
         .collect();
-    let stitched = BaselinePlane {
-        mechanism,
-        nodes,
-        pit_sweep_sums,
-        cs_sweep_sums,
-        adversaries: Vec::new(),
-        attack_tick: adversary::tick_name(),
-        proto: NoopProtocolObserver,
-    };
-    let (report, _) = stitched.into_report(merged);
-    Ok((report, observers, protos, stats))
+    Ok((report, run.observers, protos, run.stats))
 }
 
 /// Convenience: [`run_baseline_traced_sharded`] with no observers.

@@ -18,20 +18,17 @@
 use std::sync::Arc;
 
 use tactic_crypto::schnorr::Signature;
-use tactic_ndn::name::Name;
 use tactic_ndn::packet::Interest;
-use tactic_net::AttackClass;
+use tactic_net::attack::TICK;
+use tactic_net::{AttackClass, AttackDriver};
 use tactic_sim::rng::Rng;
-use tactic_sim::time::{SimDuration, SimTime};
+use tactic_sim::time::SimTime;
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::consumer::CatalogEntry;
 use crate::ext;
 use crate::tag::{SignedTag, Tag};
-
-/// Cadence of the self-rescheduling attack tick.
-pub const TICK: SimDuration = SimDuration::from_millis(100);
 
 /// Distinct credentials each BF-pollution attacker cycles through
 /// (sized against the paper's 500-tag filter so a small fleet still
@@ -41,11 +38,6 @@ pub const POLLUTION_POOL: usize = 256;
 /// High bits folded into adversarial nonces so they can never collide
 /// with the same principal's windowed-consumer nonces.
 const NONCE_TAG: u64 = 0xAD5E_0000_0000_0000;
-
-/// The sentinel timeout name that drives the tick (never transmitted).
-pub fn tick_name() -> Name {
-    "/__adversary/tick".parse().expect("static sentinel name")
-}
 
 /// What one attacker attaches to each crafted Interest.
 enum Credential {
@@ -134,15 +126,19 @@ impl AdversaryDriver {
             acc_ns: 0,
         }
     }
+}
 
+impl AttackDriver for AdversaryDriver {
     /// One tick: drains the rate accumulator into crafted Interests.
-    pub fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
+    fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
         self.acc_ns += u64::from(self.intensity) * TICK.as_nanos();
         let n = self.acc_ns / 1_000_000_000;
         self.acc_ns -= n * 1_000_000_000;
         (0..n).map(|_| self.craft()).collect()
     }
+}
 
+impl AdversaryDriver {
     fn next_nonce(&mut self) -> u64 {
         self.nonce_seq += 1;
         NONCE_TAG ^ (self.principal << 24) ^ self.nonce_seq

@@ -17,18 +17,16 @@ use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::Packet;
 use tactic_net::{
-    populate_fib, provider_prefix, run_sharded_profiled, ApRelay, AttackClass, ChurnConfig,
-    EdgeDefense, Emit, Links, Net, NetConfig, NetObserver, NodePlane, NoopObserver, PlaneCtx,
-    ShardSpec, ShardedStats, TransportReport, ATTACK_STREAM,
+    emit_requests, populate_fib, provider_prefix, ApRelay, AttackClass, AttackFleet, Emit, Net,
+    NetObserver, NodePlane, NoopObserver, PlaneCtx, ShardSpec, ShardablePlane, ShardedStats,
+    SweepGauges, TransportReport, ATTACK_STREAM,
 };
-use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
     ratio_to_fp, Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
 };
 use tactic_topology::graph::{NodeId, Role};
-use tactic_topology::roles::{build_topology, Topology};
-use tactic_topology::shard::{ShardError, ShardMap};
+use tactic_topology::shard::ShardError;
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
@@ -38,7 +36,12 @@ use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig};
 use crate::router::{RouterConfig, RouterRole, TacticRouter};
-use crate::scenario::{Scenario, TagLifetimePolicy, TopologyChoice};
+use crate::scenario::{Assembly, Scenario, TagLifetimePolicy};
+
+/// The TACTIC plane's RNG salt (see [`Scenario::assembly`]). It seeds
+/// generated topologies too, so on a custom topology this plane and the
+/// baselines (salted `0xBA5E_11E5`) run different graphs for one seed.
+const RNG_SALT: u64 = 0x7AC7_1C00;
 
 /// The dedicated RNG stream for tag-lifecycle jitter (xor'd with the
 /// consumer's principal). Forked only while a churn
@@ -46,12 +49,6 @@ use crate::scenario::{Scenario, TagLifetimePolicy, TopologyChoice};
 /// draw nothing from it and stay byte-identical to builds that predate
 /// the lifecycle layer.
 pub const LIFECYCLE_STREAM: u64 = 0x11FE_C7C1_E000_0001;
-
-/// The requester identity carried in a tag (see
-/// [`crate::tag::SignedTag::client_identity`]).
-fn tag_identity(tag: &crate::tag::SignedTag) -> u64 {
-    tag.client_identity()
-}
 
 enum NodeState {
     Router(Box<TacticRouter>),
@@ -66,51 +63,13 @@ enum NodeState {
 pub struct TacticPlane<PO: ProtocolObserver = NoopProtocolObserver> {
     nodes: Vec<NodeState>,
     edge_router_set: Vec<bool>,
-    /// PIT records summed over this instance's live routers, one entry
-    /// per purge sweep. Purge sweeps are mirrored in every shard at the
-    /// same instants, so per-shard vectors add element-wise and the
-    /// final max equals the sequential high-water mark.
-    pit_sweep_sums: Vec<u64>,
-    /// Content-store entries summed over this instance's live routers,
-    /// one entry per purge sweep (same mirroring argument as
-    /// `pit_sweep_sums`).
-    cs_sweep_sums: Vec<u64>,
-    /// Per-node attack drivers — `Some` only at attacker nodes while an
-    /// [`crate::scenario::AttackPlan`] is active. A node with a driver
-    /// ignores its windowed consumer entirely (open-loop fleet).
-    adversaries: Vec<Option<AdversaryDriver>>,
-    /// The sentinel timeout name that paces the attack drivers.
-    attack_tick: Name,
+    /// The open-loop attack drivers of an active
+    /// [`crate::scenario::AttackPlan`] (none otherwise).
+    fleet: AttackFleet<AdversaryDriver>,
     proto: PO,
 }
 
 impl<PO: ProtocolObserver> TacticPlane<PO> {
-    /// Per-interest consumer emit pattern: each request schedules its
-    /// expiry check *before* it is transmitted (the historical FIFO
-    /// tie-break order). The expiry delay is per interest — a
-    /// retransmitted chunk carries its backed-off timeout — and each
-    /// emission is reported to the observer.
-    fn push_consumer_sends(
-        proto: &mut PO,
-        hop: Hop,
-        out: &mut Vec<Emit>,
-        sends: Vec<tactic_ndn::packet::Interest>,
-        c: &Consumer,
-    ) {
-        for i in sends {
-            proto.on_interest_emitted(hop, i.nonce(), i.name());
-            out.push(Emit::Timeout {
-                name: i.name().clone(),
-                delay: c.timeout_for(i.name()),
-            });
-            out.push(Emit::Send {
-                face: FaceId::new(0),
-                packet: Packet::Interest(i),
-                compute: SimDuration::ZERO,
-            });
-        }
-    }
-
     /// Consumes the plane into the aggregated [`RunReport`], returning
     /// the protocol observer alongside it.
     fn into_report(self, duration: SimDuration, transport: TransportReport) -> (RunReport, PO) {
@@ -120,8 +79,8 @@ impl<PO: ProtocolObserver> TacticPlane<PO> {
             moves: transport.moves,
             peak_queue_depth: transport.peak_queue_depth,
             drops: transport.drops,
-            peak_pit_records: self.pit_sweep_sums.iter().copied().max().unwrap_or(0),
-            peak_cs_entries: self.cs_sweep_sums.iter().copied().max().unwrap_or(0),
+            peak_pit_records: transport.peak_pit_records(),
+            peak_cs_entries: transport.peak_cs_entries(),
             samples: transport.samples,
             profile: transport.profile,
             ..Default::default()
@@ -218,7 +177,7 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
                 }
             }
             NodeState::Consumer(c) => {
-                if self.adversaries[node.index()].is_some() {
+                if self.fleet.drives(node) {
                     return; // Open-loop fleet: replies are never tracked.
                 }
                 let hop = Hop::new(node_id, NodeRole::Consumer, now);
@@ -233,79 +192,34 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
                     }
                     Packet::Interest(_) => Vec::new(),
                 };
-                Self::push_consumer_sends(proto, hop, out, sends, c);
+                emit_requests(proto, hop, sends, |n| c.timeout_for(n), out);
             }
-            NodeState::Ap(ap) => match packet {
-                Packet::Interest(mut i) => {
-                    if face == ap.upstream {
-                        return; // Interests never flow AP-ward.
-                    }
-                    // Accumulate the access path with the AP's identity.
-                    let path = ext::interest_access_path(&i).extended(ap.id.0 as u64);
-                    ext::set_interest_access_path(&mut i, path);
-                    let identity = ext::interest_tag(&i).as_deref().map(tag_identity);
-                    ap.note(i.name().clone(), face, now, identity);
-                    out.push(Emit::Send {
-                        face: ap.upstream,
-                        packet: Packet::Interest(i),
-                        compute: SimDuration::ZERO,
-                    });
-                }
-                Packet::Data(d) => {
-                    let identity = ext::data_tag(&d).as_deref().map(tag_identity);
-                    let faces = ap.claim(d.name(), identity);
-                    // Clone only on genuine fan-out: the last claimant
-                    // takes the packet by move.
-                    let last = faces.len().saturating_sub(1);
-                    let mut d = Some(d);
-                    for (idx, f) in faces.iter().enumerate() {
-                        let pkt = if idx == last {
-                            d.take().expect("consumed only at the last claimant")
-                        } else {
-                            d.as_ref()
-                                .expect("present before the last claimant")
-                                .clone()
-                        };
-                        out.push(Emit::Send {
-                            face: *f,
-                            packet: Packet::Data(pkt),
-                            compute: SimDuration::ZERO,
-                        });
-                    }
-                }
-                Packet::Nack(nk) => {
-                    let identity = ext::interest_tag(nk.interest())
-                        .as_deref()
-                        .map(tag_identity);
-                    let faces = ap.claim(nk.interest().name(), identity);
-                    let last = faces.len().saturating_sub(1);
-                    let mut nk = Some(nk);
-                    for (idx, f) in faces.iter().enumerate() {
-                        let pkt = if idx == last {
-                            nk.take().expect("consumed only at the last claimant")
-                        } else {
-                            nk.as_ref()
-                                .expect("present before the last claimant")
-                                .clone()
-                        };
-                        out.push(Emit::Send {
-                            face: *f,
-                            packet: Packet::Nack(pkt),
-                            compute: SimDuration::ZERO,
-                        });
-                    }
-                }
-            },
+            // The AP accumulates the access path with its own identity
+            // and demultiplexes replies by the requester identity their
+            // tag carries.
+            NodeState::Ap(ap) => ap.relay(
+                face,
+                packet,
+                now,
+                |id, i| {
+                    let path = ext::interest_access_path(i).extended(id.0 as u64);
+                    ext::set_interest_access_path(i, path);
+                },
+                |p| {
+                    let tag = match p {
+                        Packet::Interest(i) => ext::interest_tag(i),
+                        Packet::Data(d) => ext::data_tag(d),
+                        Packet::Nack(n) => ext::interest_tag(n.interest()),
+                    };
+                    tag.as_deref().map(crate::tag::SignedTag::client_identity)
+                },
+                out,
+            ),
         }
     }
 
     fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.adversaries[node.index()].is_some() {
-            // Arm the attack pacer instead of the windowed consumer.
-            out.push(Emit::Timeout {
-                name: self.attack_tick.clone(),
-                delay: adversary::TICK,
-            });
+        if self.fleet.on_start(node, out) {
             return;
         }
         let NodeState::Consumer(c) = &mut self.nodes[node.index()] else {
@@ -313,7 +227,7 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
         };
         let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
         let sends = c.fill(ctx.now);
-        Self::push_consumer_sends(&mut self.proto, hop, out, sends, c);
+        emit_requests(&mut self.proto, hop, sends, |n| c.timeout_for(n), out);
     }
 
     fn on_timeout(
@@ -324,23 +238,10 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
         ctx: &mut PlaneCtx<'_>,
         out: &mut Vec<Emit>,
     ) {
-        if name == self.attack_tick {
-            let Some(driver) = self.adversaries[node.index()].as_mut() else {
-                return;
-            };
-            let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-            for i in driver.on_tick(ctx.now) {
-                self.proto.on_interest_emitted(hop, i.nonce(), i.name());
-                out.push(Emit::Send {
-                    face: FaceId::new(0),
-                    packet: Packet::Interest(i),
-                    compute: SimDuration::ZERO,
-                });
-            }
-            out.push(Emit::Timeout {
-                name,
-                delay: adversary::TICK,
-            });
+        if self
+            .fleet
+            .on_timeout(node, &name, ctx.now, &mut self.proto, out)
+        {
             return;
         }
         let NodeState::Consumer(c) = &mut self.nodes[node.index()] else {
@@ -349,27 +250,23 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
         let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
         self.proto.on_timeout_expired(hop, &name, sent);
         let sends = c.on_timeout(&name, sent, ctx.now);
-        Self::push_consumer_sends(&mut self.proto, hop, out, sends, c);
+        emit_requests(&mut self.proto, hop, sends, |n| c.timeout_for(n), out);
     }
 
-    fn on_purge(&mut self, now: SimTime) {
-        // Sample PIT/CS occupancy *before* sweeping so the peaks reflect
-        // what loss actually accumulated, then purge expired entries.
-        let mut pit_records = 0u64;
-        let mut cs_entries = 0u64;
+    fn on_purge(&mut self, now: SimTime) -> SweepGauges {
+        let mut gauges = SweepGauges::default();
         for state in &mut self.nodes {
             match state {
                 NodeState::Router(r) => {
-                    pit_records += r.tables().pit.total_records() as u64;
-                    cs_entries += r.tables().cs.len() as u64;
+                    gauges.pit_records += r.tables().pit.total_records() as u64;
+                    gauges.cs_entries += r.tables().cs.len() as u64;
                     r.purge_pit(now);
                 }
-                NodeState::Ap(ap) => ap.purge(now, SimDuration::from_secs(4)),
+                NodeState::Ap(ap) => ap.purge(now),
                 _ => {}
             }
         }
-        self.pit_sweep_sums.push(pit_records);
-        self.cs_sweep_sums.push(cs_entries);
+        gauges
     }
 
     fn on_reroute(&mut self, routes: &[tactic_net::FibRoute]) {
@@ -414,7 +311,7 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
     fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
         // The consumer drops its tags so the next request re-registers
         // from the new location, then refills its window immediately.
-        if self.adversaries[node.index()].is_some() {
+        if self.fleet.drives(node) {
             return; // The open-loop fleet keeps its credentials and pace.
         }
         let NodeState::Consumer(c) = &mut self.nodes[node.index()] else {
@@ -423,7 +320,16 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
         let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
         c.on_move(ctx.now);
         let sends = c.fill(ctx.now);
-        Self::push_consumer_sends(&mut self.proto, hop, out, sends, c);
+        emit_requests(&mut self.proto, hop, sends, |n| c.timeout_for(n), out);
+    }
+}
+
+impl<PO: ProtocolObserver> ShardablePlane for TacticPlane<PO> {
+    fn adopt(&mut self, owner: &mut Self, node: NodeId) {
+        std::mem::swap(
+            &mut self.nodes[node.index()],
+            &mut owner.nodes[node.index()],
+        );
     }
 }
 
@@ -492,13 +398,9 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         proto: PO,
         shard: Option<ShardSpec>,
     ) -> Network<O, PO> {
-        let rng = Rng::seed_from_u64(seed ^ 0x7AC7_1C00);
-        let topo: Topology = match scenario.topology {
-            TopologyChoice::Paper(p) => p.build(seed),
-            TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-        };
+        let asm = scenario.assembly(seed, RNG_SALT);
+        let Assembly { rng, topo, links } = &asm;
         let n = topo.graph.node_count();
-        let links = Links::build(&topo);
 
         // PKI: one ISP trust anchor; every provider certified.
         let anchor = KeyPair::derive(b"isp-trust-anchor", seed);
@@ -568,7 +470,7 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         }
 
         // Routing: one Dijkstra per provider, FIB entries at every router.
-        populate_fib(&topo, &links, |rnode, _i, prefix, face, cost_us| {
+        populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
             routers
                 .get_mut(&rnode.index())
                 .expect("router")
@@ -675,84 +577,54 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         // Adversarial fleet: an active plan repurposes every attacker
         // into an open-loop traffic source ([`crate::adversary`]).
         // Credentials are issued here because only the assembly holds
-        // the providers' signing state; Churn instead hands the
-        // transport a schedule of aggressive Move events.
+        // the providers' signing state. (Churn is the transport's
+        // business; the scenario schedules it.)
         let mut adversaries: Vec<Option<AdversaryDriver>> = (0..n).map(|_| None).collect();
-        let mut churn: Option<ChurnConfig> = None;
-        if scenario.attack.active() {
-            let class = scenario.attack.class.expect("active plan names a class");
-            if class == AttackClass::Churn {
-                let mut nodes = topo.attackers.clone();
-                nodes.sort_unstable();
-                churn = Some(ChurnConfig {
-                    nodes,
-                    mean_dwell: SimDuration::from_secs(2),
-                });
-            } else {
-                let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
-                for &anode in &topo.attackers {
-                    let principal = anode.index() as u64;
-                    let path = if scenario.access_path_enabled {
-                        AccessPath::of([topo.access_point_of(anode).0 as u64])
-                    } else {
-                        AccessPath::EMPTY
-                    };
-                    let mut issue = |prov_idx: usize, who: u64, expiry: SimTime| {
-                        let pnode = topo.providers[prov_idx];
-                        let p = providers.get_mut(&pnode.index()).expect("provider");
-                        Arc::new(p.issue_tag(who, scenario.client_level, path, expiry))
-                    };
-                    let horizon = SimTime::ZERO + scenario.duration;
-                    let issued: Vec<(usize, Arc<crate::tag::SignedTag>)> = match class {
-                        AttackClass::Flood => (0..topo.providers.len())
-                            .map(|idx| (idx, issue(idx, principal, horizon)))
-                            .collect(),
-                        AttackClass::ReplayExpired => (0..topo.providers.len())
-                            .map(|idx| (idx, issue(idx, principal, SimTime::from_nanos(1))))
-                            .collect(),
-                        AttackClass::BfPollution => (0..adversary::POLLUTION_POOL)
-                            .map(|k| {
-                                let idx = k % topo.providers.len();
-                                // Distinct synthetic principals yield
-                                // distinct (still genuinely signed) tags.
-                                let who = principal ^ ((k as u64 + 1) << 32);
-                                (idx, issue(idx, who, horizon))
-                            })
-                            .collect(),
-                        AttackClass::ForgeTags => Vec::new(),
-                        AttackClass::Churn => unreachable!("handled above"),
-                    };
-                    adversaries[anode.index()] = Some(AdversaryDriver::new(
-                        class,
-                        principal,
-                        scenario.attack.intensity,
-                        lifetime_ms,
-                        rng.fork(ATTACK_STREAM ^ principal),
-                        catalog.clone(),
-                        issued,
-                    ));
-                }
+        if let Some(class) = scenario.attack.driver_class() {
+            let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
+            for &anode in &topo.attackers {
+                let principal = anode.index() as u64;
+                let path = if scenario.access_path_enabled {
+                    AccessPath::of([topo.access_point_of(anode).0 as u64])
+                } else {
+                    AccessPath::EMPTY
+                };
+                let mut issue = |prov_idx: usize, who: u64, expiry: SimTime| {
+                    let pnode = topo.providers[prov_idx];
+                    let p = providers.get_mut(&pnode.index()).expect("provider");
+                    Arc::new(p.issue_tag(who, scenario.client_level, path, expiry))
+                };
+                let horizon = SimTime::ZERO + scenario.duration;
+                let issued: Vec<(usize, Arc<crate::tag::SignedTag>)> = match class {
+                    AttackClass::Flood => (0..topo.providers.len())
+                        .map(|idx| (idx, issue(idx, principal, horizon)))
+                        .collect(),
+                    AttackClass::ReplayExpired => (0..topo.providers.len())
+                        .map(|idx| (idx, issue(idx, principal, SimTime::from_nanos(1))))
+                        .collect(),
+                    AttackClass::BfPollution => (0..adversary::POLLUTION_POOL)
+                        .map(|k| {
+                            let idx = k % topo.providers.len();
+                            // Distinct synthetic principals yield
+                            // distinct (still genuinely signed) tags.
+                            let who = principal ^ ((k as u64 + 1) << 32);
+                            (idx, issue(idx, who, horizon))
+                        })
+                        .collect(),
+                    AttackClass::ForgeTags => Vec::new(),
+                    AttackClass::Churn => unreachable!("not a driver class"),
+                };
+                adversaries[anode.index()] = Some(AdversaryDriver::new(
+                    class,
+                    principal,
+                    scenario.attack.intensity,
+                    lifetime_ms,
+                    rng.fork(ATTACK_STREAM ^ principal),
+                    catalog.clone(),
+                    issued,
+                ));
             }
         }
-
-        // Edge defenses enforced by the transport at send time; the
-        // bounded PIT is a router concern wired via `RouterConfig`.
-        let defense =
-            if scenario.defense.rate_limit.is_some() || scenario.defense.face_cap.is_some() {
-                Some(EdgeDefense::new(
-                    scenario.defense.rate_limit,
-                    scenario.defense.face_cap,
-                    topo.clients
-                        .iter()
-                        .chain(topo.attackers.iter())
-                        .copied()
-                        .collect(),
-                    topo.access_points.clone(),
-                    topo.edge_routers.clone(),
-                ))
-            } else {
-                None
-            };
 
         // Assemble node states.
         let mut nodes: Vec<NodeState> = Vec::with_capacity(n);
@@ -768,7 +640,7 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                     consumers.remove(&node.index()).expect("consumer built"),
                 )),
                 Role::AccessPoint => NodeState::Ap(
-                    ApRelay::new(&topo, &links, node)
+                    ApRelay::new(topo, links, node)
                         .expect("validated topology: AP wired to an edge router"),
                 ),
             };
@@ -778,27 +650,11 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         let plane = TacticPlane {
             nodes,
             edge_router_set,
-            pit_sweep_sums: Vec::new(),
-            cs_sweep_sums: Vec::new(),
-            adversaries,
-            attack_tick: adversary::tick_name(),
+            fleet: AttackFleet::new(adversaries),
             proto,
         };
-        let config = NetConfig {
-            duration: scenario.duration,
-            mobility: scenario.mobility,
-            cost: scenario.cost_model.clone(),
-            faults: scenario.faults.clone(),
-            sample_every: scenario.sample_every,
-            profile: scenario.profile,
-            defense,
-            churn,
-        };
         Network {
-            net: match shard {
-                None => Net::assemble_observed(&topo, links, plane, rng, config, observer),
-                Some(s) => Net::assemble_sharded(&topo, links, plane, rng, config, observer, s),
-            },
+            net: scenario.assemble(asm, plane, observer, shard),
             duration: scenario.duration,
         }
     }
@@ -846,111 +702,17 @@ where
     MO: Fn(u32) -> O + Sync,
     MP: Fn(u32) -> PO + Sync,
 {
-    // Partition on the caller's thread; workers rebuild the identical
-    // topology from the identical seed, so the map transfers.
-    let rng = Rng::seed_from_u64(seed ^ 0x7AC7_1C00);
-    let topo: Topology = match scenario.topology {
-        TopologyChoice::Paper(p) => p.build(seed),
-        TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-    };
-    let shard_map = ShardMap::partition(&topo, shards)?;
-    let lookahead = shard_map.lookahead(scenario.any_mobility());
-    let horizon = SimTime::ZERO + scenario.duration;
-    let shard_of = shard_map.shard_of.clone();
-    drop(topo);
-
-    let (results, mut stats) =
-        run_sharded_profiled(shards, lookahead, horizon, scenario.profile, |s| {
-            Network::build_inner(
-                scenario,
-                seed,
-                make_observer(s),
-                make_proto(s),
-                Some(ShardSpec {
-                    k: shards,
-                    my_shard: s,
-                    shard_of: shard_map.shard_of.clone(),
-                }),
-            )
-            .net
-        });
-    stats.edge_cut = shard_map.edge_cut;
-
-    let mut planes = Vec::with_capacity(shards);
-    let mut observers = Vec::with_capacity(shards);
-    let mut transports = Vec::with_capacity(shards);
-    for (plane, obs, transport) in results {
-        planes.push(plane);
-        observers.push(obs);
-        transports.push(transport);
-    }
-    let merged = TransportReport::merge_shards(&transports);
-
-    // Stitch the owned node states back into one plane, in node-id
-    // order, and fold the mirrored per-sweep PIT/CS sums element-wise.
-    // Each shard's own sweep maxima feed the per-shard stats before the
-    // fold erases them.
-    let mut protos = Vec::with_capacity(shards);
-    let mut edge_router_set: Vec<bool> = Vec::new();
-    let mut pit_sweep_sums: Vec<u64> = Vec::new();
-    let mut cs_sweep_sums: Vec<u64> = Vec::new();
-    let mut per_shard_nodes: Vec<Vec<Option<NodeState>>> = Vec::with_capacity(shards);
-    for plane in planes {
-        let TacticPlane {
-            nodes,
-            edge_router_set: ers,
-            pit_sweep_sums: sums,
-            cs_sweep_sums: cs_sums,
-            adversaries: _,
-            attack_tick: _,
-            proto,
-        } = plane;
-        if edge_router_set.is_empty() {
-            edge_router_set = ers;
-        }
-        stats
-            .per_shard_peak_pit
-            .push(sums.iter().copied().max().unwrap_or(0));
-        stats
-            .per_shard_peak_cs
-            .push(cs_sums.iter().copied().max().unwrap_or(0));
-        if pit_sweep_sums.len() < sums.len() {
-            pit_sweep_sums.resize(sums.len(), 0);
-        }
-        for (i, v) in sums.iter().enumerate() {
-            pit_sweep_sums[i] += v;
-        }
-        if cs_sweep_sums.len() < cs_sums.len() {
-            cs_sweep_sums.resize(cs_sums.len(), 0);
-        }
-        for (i, v) in cs_sums.iter().enumerate() {
-            cs_sweep_sums[i] += v;
-        }
-        protos.push(proto);
-        per_shard_nodes.push(nodes.into_iter().map(Some).collect());
-    }
-    let nodes: Vec<NodeState> = shard_of
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            per_shard_nodes[s as usize][i]
-                .take()
-                .expect("every node owned by exactly one shard")
-        })
+    let run = scenario.run_sharded_plane(seed, RNG_SALT, shards, |spec| {
+        let s = spec.my_shard;
+        Network::build_inner(scenario, seed, make_observer(s), make_proto(s), Some(spec)).net
+    })?;
+    let mut planes = run.planes.into_iter();
+    let host = planes.next().expect("at least one shard");
+    let (report, proto) = host.into_report(scenario.duration, run.transport);
+    let protos = std::iter::once(proto)
+        .chain(planes.map(|p| p.proto))
         .collect();
-    let stitched = TacticPlane {
-        nodes,
-        edge_router_set,
-        pit_sweep_sums,
-        cs_sweep_sums,
-        // The stitched plane only aggregates reports; it never handles
-        // another event, so the fleet state is not reassembled.
-        adversaries: Vec::new(),
-        attack_tick: adversary::tick_name(),
-        proto: NoopProtocolObserver,
-    };
-    let (report, _) = stitched.into_report(scenario.duration, merged);
-    Ok((report, observers, protos, stats))
+    Ok((report, run.observers, protos, run.stats))
 }
 
 /// Convenience: [`run_traced_sharded`] with no observers.

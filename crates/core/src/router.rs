@@ -16,7 +16,7 @@ use tactic_bloom::{BloomParams, CacheChurn, CachePolicy, ValidationCache};
 use tactic_crypto::cert::CertStore;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
-use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Packet};
+use tactic_ndn::packet::{fan_out, Data, Interest, Nack, NackReason, Packet};
 use tactic_ndn::pit::PitInsert;
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
@@ -391,24 +391,12 @@ impl TacticRouter {
         let mut out = RouterOutput::default();
         let hop = Hop::new(node, self.telemetry_role(), now);
         if let Some(entry) = self.tables.pit.take(nack.interest().name()) {
-            let recs = entry.into_records();
-            let last = recs.len().saturating_sub(1);
             let reason = nack.reason();
-            let mut nack = Some(nack);
-            for (idx, rec) in recs.iter().enumerate() {
+            fan_out(entry.into_records(), nack, |rec, nack| {
                 self.counters.nacks += 1;
                 obs.on_nack(hop, reason);
-                // Clone only on genuine fan-out: the last pending
-                // requester takes the original by move.
-                let pkt = if idx == last {
-                    nack.take().expect("consumed only at the last record")
-                } else {
-                    nack.as_ref()
-                        .expect("present before the last record")
-                        .clone()
-                };
-                out.sends.push((rec.face, Packet::Nack(pkt)));
-            }
+                out.sends.push((rec.face, Packet::Nack(nack)));
+            });
         }
         out
     }
@@ -886,10 +874,7 @@ impl TacticRouter {
             let Some(entry) = timed(prof, "pit_ops", || self.tables.pit.take(data.name())) else {
                 return out;
             };
-            let recs = entry.into_records();
-            let last = recs.len().saturating_sub(1);
-            let mut data = Some(data);
-            for (idx, rec) in recs.iter().enumerate() {
+            fan_out(entry.into_records(), data, |rec, d| {
                 if self.config.role == RouterRole::Edge && self.is_downstream(rec.face) {
                     self.bf_insert(
                         new_tag.partition_key(),
@@ -902,17 +887,8 @@ impl TacticRouter {
                         prof,
                     );
                 }
-                // Clone only on genuine fan-out: the last pending
-                // requester takes the response by move.
-                let d = if idx == last {
-                    data.take().expect("consumed only at the last record")
-                } else {
-                    data.as_ref()
-                        .expect("present before the last record")
-                        .clone()
-                };
                 out.sends.push((rec.face, Packet::Data(d)));
-            }
+            });
             return out;
         }
 

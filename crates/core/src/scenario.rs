@@ -1,10 +1,16 @@
 //! Scenario configuration: everything §8.A fixes about a simulation run.
 
 use tactic_bloom::CachePolicy;
+use tactic_net::{
+    run_plane_sharded, ChurnConfig, EdgeDefense, Links, Net, NetConfig, NetObserver, NodePlane,
+    ShardSpec, ShardablePlane, ShardedRun,
+};
 use tactic_sim::cost::CostModel;
-use tactic_sim::time::SimDuration;
+use tactic_sim::rng::Rng;
+use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::paper::PaperTopology;
-use tactic_topology::roles::TopologySpec;
+use tactic_topology::roles::{build_topology, Topology, TopologySpec};
+use tactic_topology::shard::ShardError;
 
 use crate::access::AccessLevel;
 use crate::consumer::AttackerStrategy;
@@ -87,6 +93,19 @@ impl TopologyChoice {
             TopologyChoice::Custom(s) => *s,
         }
     }
+}
+
+/// The transport-side inputs every plane builds a run from (see
+/// [`Scenario::assembly`]).
+#[derive(Debug)]
+pub struct Assembly {
+    /// The plane's salted run RNG: per-node and per-consumer streams
+    /// fork off it.
+    pub rng: Rng,
+    /// The network.
+    pub topo: Topology,
+    /// Face tables for `topo`.
+    pub links: Links,
 }
 
 /// A complete experiment configuration.
@@ -254,8 +273,124 @@ impl Scenario {
     /// sharded lookahead must conservatively account for, because
     /// handovers re-point radio links across shard boundaries at will.
     pub fn any_mobility(&self) -> bool {
-        self.mobility.is_some()
-            || (self.attack.active() && self.attack.class == Some(AttackClass::Churn))
+        self.mobility.is_some() || self.attack_churns()
+    }
+
+    fn attack_churns(&self) -> bool {
+        self.attack.active() && self.attack.class == Some(AttackClass::Churn)
+    }
+
+    /// The run RNG `seed ^ salt` and the network built from it: the
+    /// shared first step of every plane's assembly. Each plane passes its
+    /// own `salt` so no two planes share a random stream.
+    ///
+    /// The salt also seeds generated topologies. A
+    /// [`TopologyChoice::Paper`] network depends on `seed` alone, but a
+    /// [`TopologyChoice::Custom`] one (`Scenario::small`, every fleet
+    /// spec) is drawn from the salted RNG, so the same seed gives each
+    /// plane a *different* Barabási–Albert graph. Cross-plane
+    /// comparisons on custom topologies therefore compare different
+    /// graphs of the same size; aligning the salts would change every
+    /// pinned baseline golden.
+    pub fn assembly(&self, seed: u64, salt: u64) -> Assembly {
+        let rng = Rng::seed_from_u64(seed ^ salt);
+        let topo = self.build_topology(seed, &rng);
+        let links = Links::build(&topo);
+        Assembly { rng, topo, links }
+    }
+
+    fn build_topology(&self, seed: u64, rng: &Rng) -> Topology {
+        match self.topology {
+            TopologyChoice::Paper(p) => p.build(seed),
+            TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
+        }
+    }
+
+    /// The transport configuration for `topo`: everything the scenario
+    /// fixes, plus the edge defenses and the attacker churn schedule,
+    /// which need the topology's roles.
+    fn net_config(&self, topo: &Topology) -> NetConfig {
+        let d = &self.defense;
+        let defense = (d.rate_limit.is_some() || d.face_cap.is_some()).then(|| {
+            EdgeDefense::new(
+                d.rate_limit,
+                d.face_cap,
+                topo.clients
+                    .iter()
+                    .chain(&topo.attackers)
+                    .copied()
+                    .collect(),
+                topo.access_points.clone(),
+                topo.edge_routers.clone(),
+            )
+        });
+        let churn = self.attack_churns().then(|| {
+            let mut nodes = topo.attackers.clone();
+            nodes.sort_unstable();
+            ChurnConfig {
+                nodes,
+                mean_dwell: SimDuration::from_secs(2),
+            }
+        });
+        NetConfig {
+            duration: self.duration,
+            mobility: self.mobility,
+            cost: self.cost_model.clone(),
+            faults: self.faults.clone(),
+            sample_every: self.sample_every,
+            profile: self.profile,
+            defense,
+            churn,
+        }
+    }
+
+    /// Puts a plane built from `asm` on the transport: a sequential run
+    /// (`shard == None`) or one replica of a sharded run.
+    pub fn assemble<P: NodePlane, O: NetObserver>(
+        &self,
+        asm: Assembly,
+        plane: P,
+        observer: O,
+        shard: Option<ShardSpec>,
+    ) -> Net<P, O> {
+        let Assembly { rng, topo, links } = asm;
+        let config = self.net_config(&topo);
+        match shard {
+            None => Net::assemble_observed(&topo, links, plane, rng, config, observer),
+            Some(s) => Net::assemble_sharded(&topo, links, plane, rng, config, observer, s),
+        }
+    }
+
+    /// Runs a plane space-partitioned across `shards` worker threads (see
+    /// [`run_plane_sharded`]). Each worker calls `build` with its
+    /// [`ShardSpec`] and must return the net [`Scenario::assemble`] makes
+    /// from `self.assembly(seed, salt)`, so the partition and every
+    /// replica see the same topology.
+    ///
+    /// # Errors
+    ///
+    /// A [`ShardError`] for zero shards or more shards than routers.
+    pub fn run_sharded_plane<P, O, F>(
+        &self,
+        seed: u64,
+        salt: u64,
+        shards: usize,
+        build: F,
+    ) -> Result<ShardedRun<P, O>, ShardError>
+    where
+        P: ShardablePlane + Send,
+        O: NetObserver + Send,
+        F: Fn(ShardSpec) -> Net<P, O> + Sync,
+    {
+        let topo = self.build_topology(seed, &Rng::seed_from_u64(seed ^ salt));
+        run_plane_sharded(
+            topo,
+            shards,
+            self.any_mobility(),
+            SimTime::ZERO + self.duration,
+            self.profile,
+            build,
+        )
     }
 
     /// The tag validity the providers actually issue under: the churn

@@ -18,10 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tactic::net::{run_scenario_sharded, Network};
 use tactic::scenario::{AttackClass, AttackPlan, DefenseConfig, RateLimit, Scenario};
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_sharded, BaselineNetwork};
 use tactic_net::{DropTotals, ShardedStats};
 use tactic_sim::rng::derive_seed;
 use tactic_sim::stats::ratio;
@@ -30,14 +27,10 @@ use tactic_topology::paper::PaperTopology;
 
 use crate::opts::{RunOpts, Verbosity};
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{scenario_id, scenario_summary, shaped_scenario, BASE_SEED};
-
-const PLANES: [&str; 4] = [
-    "tactic",
-    "no-access-control",
-    "client-side-ac",
-    "provider-auth-ac",
-];
+use crate::runner::{
+    run_named_plane, scenario_id, scenario_summary, shaped_scenario, transport_manifest,
+    PlaneReport, BASE_SEED, PLANES,
+};
 
 /// Per-attacker intensities (Interests per second) swept for every
 /// attack class except churn, which re-attaches on its own clock and
@@ -155,27 +148,16 @@ impl CellRow {
 }
 
 /// One cell run, sequential or space-partitioned across `shards`
-/// intra-run workers. Exits with status 2 when the shard count does not
-/// fit the topology, like any other bad CLI argument.
+/// intra-run workers (see [`run_named_plane`]).
 fn run_plane(
     plane: &str,
     scenario: &Scenario,
     seed: u64,
     shards: usize,
 ) -> (RunTotals, Option<ShardedStats>) {
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    if plane == "tactic" {
-        let (r, stats) = if shards <= 1 {
-            (Network::build(scenario, seed).run(), None)
-        } else {
-            let (r, stats) =
-                run_scenario_sharded(scenario, seed, shards).unwrap_or_else(|e| bail(e));
-            (r, Some(stats))
-        };
-        let totals = RunTotals {
+    let (report, stats) = run_named_plane(plane, scenario, seed, shards);
+    let totals = match report {
+        PlaneReport::Tactic(r) => RunTotals {
             requested: r.delivery.client_requested,
             received: r.delivery.client_received,
             auth_ops: r.edge_ops.sig_verifications + r.core_ops.sig_verifications,
@@ -189,24 +171,8 @@ fn run_plane(
             tag_renewals: r.providers.tags_renewed,
             revalidations: r.edge_ops.evicted_revalidations + r.core_ops.evicted_revalidations,
             bf_rotations: r.edge_ops.bf_rotations + r.core_ops.bf_rotations,
-        };
-        (totals, stats)
-    } else {
-        let mechanism = Mechanism::ALL
-            .into_iter()
-            .find(|m| m.to_string() == plane)
-            .expect("known mechanism");
-        let (r, stats) = if shards <= 1 {
-            (
-                BaselineNetwork::build(scenario, mechanism, seed).run(),
-                None,
-            )
-        } else {
-            let (r, stats) =
-                run_baseline_sharded(scenario, mechanism, seed, shards).unwrap_or_else(|e| bail(e));
-            (r, Some(stats))
-        };
-        let totals = RunTotals {
+        },
+        PlaneReport::Baseline(r) => RunTotals {
             requested: r.client_requested,
             received: r.client_received,
             auth_ops: r.provider_auth_ops,
@@ -221,9 +187,9 @@ fn run_plane(
             tag_renewals: 0,
             revalidations: 0,
             bf_rotations: 0,
-        };
-        (totals, stats)
-    }
+        },
+    };
+    (totals, stats)
 }
 
 /// Runs the full (plane × attack point × defense × seed) sweep fanned
@@ -303,38 +269,18 @@ pub fn sweep_cells(
                     run_idx: job.run_idx,
                     seed,
                     scenario: scenario_summary(&scenario),
-                    sim_events: totals.events,
-                    peak_queue_depth: totals.peak_queue_depth,
                     wall_ms: started.elapsed().as_millis() as u64,
-                    drops_dangling_face: totals.drops.dangling_face,
-                    drops_reverse_face: totals.drops.reverse_face,
-                    drops_lossy: totals.drops.lossy,
-                    drops_link_down: totals.drops.link_down,
-                    drops_node_down: totals.drops.node_down,
-                    drops_rate_limited: totals.drops.rate_limited,
-                    drops_face_capped: totals.drops.face_capped,
-                    drops_pit_full: totals.drops.pit_full,
-                    shards: stats.as_ref().map_or(1, |s| s.k as u64),
-                    edge_cut: stats.as_ref().map_or(0, |s| s.edge_cut),
-                    epochs: stats.as_ref().map_or(0, |s| s.epochs),
-                    per_shard_events: stats
-                        .as_ref()
-                        .map_or_else(|| vec![totals.events], |s| s.per_shard_events.clone()),
-                    per_shard_peak_queue: stats.as_ref().map_or_else(
-                        || vec![totals.peak_queue_depth],
-                        |s| s.per_shard_peak_queue.clone(),
-                    ),
-                    per_shard_peak_pit: stats.as_ref().map_or_else(
-                        || vec![totals.peak_pit_records],
-                        |s| s.per_shard_peak_pit.clone(),
-                    ),
-                    per_shard_peak_cs: stats.as_ref().map_or_else(
-                        || vec![totals.peak_cs_entries],
-                        |s| s.per_shard_peak_cs.clone(),
-                    ),
                     tag_renewals: totals.tag_renewals,
                     revalidations: totals.revalidations,
                     bf_rotations: totals.bf_rotations,
+                    ..transport_manifest(
+                        totals.events,
+                        totals.peak_queue_depth,
+                        totals.peak_pit_records,
+                        totals.peak_cs_entries,
+                        &totals.drops,
+                        stats,
+                    )
                 };
                 if verbosity.progress() {
                     eprintln!(

@@ -14,10 +14,7 @@
 //!   run: one lane per shard (epochs + barrier waits) plus sampled
 //!   counter tracks. Load it in `ui.perfetto.dev`. Never golden.
 
-use tactic::net::{run_scenario_sharded, Network};
 use tactic::scenario::Scenario;
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_sharded, BaselineNetwork};
 use tactic_sim::rng::derive_seed;
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::{
@@ -26,7 +23,7 @@ use tactic_telemetry::{
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, TextTable};
-use crate::runner::{scenario_id, shaped_scenario, BASE_SEED};
+use crate::runner::{run_named_plane, scenario_id, shaped_scenario, PlaneReport, BASE_SEED};
 
 /// Sampling cadence when `--sample-every` is not given: one simulated
 /// second per tick.
@@ -42,40 +39,17 @@ struct Capture {
     events: u64,
 }
 
-/// Runs one plane at one shard count. Exits with status 2 when the
-/// shard count does not fit the topology, like any other bad argument.
+/// Runs one plane at one shard count (see [`run_named_plane`]).
 fn capture(plane: &str, scenario: &Scenario, seed: u64, shards: usize) -> Capture {
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    let (samples, profiler, epochs, events) = if plane == "tactic" {
-        if shards <= 1 {
-            let r = Network::build(scenario, seed).run();
-            (r.samples, r.profile, Vec::new(), r.events)
-        } else {
-            let (r, stats) =
-                run_scenario_sharded(scenario, seed, shards).unwrap_or_else(|e| bail(e));
-            (r.samples, r.profile, stats.epoch_spans, r.events)
-        }
-    } else {
-        let mechanism = Mechanism::ALL
-            .into_iter()
-            .find(|m| m.to_string() == plane)
-            .expect("known mechanism");
-        if shards <= 1 {
-            let r = BaselineNetwork::build(scenario, mechanism, seed).run();
-            (r.samples, r.profile, Vec::new(), r.events)
-        } else {
-            let (r, stats) =
-                run_baseline_sharded(scenario, mechanism, seed, shards).unwrap_or_else(|e| bail(e));
-            (r.samples, r.profile, stats.epoch_spans, r.events)
-        }
+    let (report, stats) = run_named_plane(plane, scenario, seed, shards);
+    let (samples, profiler, events) = match report {
+        PlaneReport::Tactic(r) => (r.samples, r.profile, r.events),
+        PlaneReport::Baseline(r) => (r.samples, r.profile, r.events),
     };
     Capture {
         samples,
         profiler: profiler.map(|p| *p).unwrap_or_default(),
-        epochs,
+        epochs: stats.map(|s| s.epoch_spans).unwrap_or_default(),
         events,
     }
 }

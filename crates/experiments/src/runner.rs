@@ -13,16 +13,28 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tactic::metrics::RunReport;
-use tactic::net::{run_scenario, run_scenario_sharded};
+use tactic::net::{run_scenario, run_scenario_sharded, run_traced_sharded, Network};
 use tactic::router::OpCounters;
 use tactic::scenario::Scenario;
+use tactic_baselines::net::{run_baseline_traced_sharded, BaselineNetwork};
+use tactic_baselines::{BaselineReport, Mechanism};
+use tactic_net::{DropTotals, NetObserver, NoopObserver, ShardedStats};
 use tactic_sim::rng::{derive_seed, splitmix64};
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::RunManifest;
+use tactic_telemetry::{NoopProtocolObserver, ProtocolObserver, RunManifest};
 use tactic_topology::paper::PaperTopology;
 use tactic_topology::ShardError;
 
 use crate::opts::{RunOpts, Verbosity};
+
+/// Every simulated plane's label, as tables and manifests print it:
+/// TACTIC, then each [`Mechanism`].
+pub(crate) const PLANES: [&str; 4] = [
+    "tactic",
+    "no-access-control",
+    "client-side-ac",
+    "provider-auth-ac",
+];
 
 /// Base seed so experiment runs are reproducible but distinct per grid
 /// cell.
@@ -199,13 +211,8 @@ pub fn run_grid_cli(
 ) -> (Vec<RunReport>, Vec<RunManifest>) {
     let mut prev: Option<(usize, Vec<RunReport>, Vec<RunManifest>)> = None;
     for &k in shards {
-        let (reports, manifests) = match run_grid_sharded(jobs, threads, k, verbosity) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("--shards {k}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let (reports, manifests) =
+            run_grid_sharded(jobs, threads, k, verbosity).unwrap_or_else(|e| exit_bad_shards(k, e));
         if let Some((k0, prev_reports, _)) = &prev {
             for ((a, b), job) in prev_reports.iter().zip(&reports).zip(jobs) {
                 assert_eq!(
@@ -221,6 +228,129 @@ pub fn run_grid_cli(
     }
     let (_, reports, manifests) = prev.expect("--shards has at least one entry");
     (reports, manifests)
+}
+
+/// Exits with status 2 for a `--shards` count the topology cannot take,
+/// like any other bad CLI argument.
+fn exit_bad_shards(shards: usize, e: ShardError) -> ! {
+    eprintln!("--shards {shards}: {e}");
+    std::process::exit(2);
+}
+
+/// One run's report from either plane.
+pub(crate) enum PlaneReport {
+    /// The TACTIC plane.
+    Tactic(Box<RunReport>),
+    /// A baseline mechanism.
+    Baseline(Box<BaselineReport>),
+}
+
+/// Runs the plane labelled `plane` — `"tactic"` or a [`Mechanism`] name
+/// — sequentially when `shards <= 1` and space-partitioned otherwise
+/// (the reports are byte-identical; only the returned [`ShardedStats`]
+/// differ). Exits via [`exit_bad_shards`] when the shard count does not
+/// fit the topology.
+pub(crate) fn run_named_plane(
+    plane: &str,
+    scenario: &Scenario,
+    seed: u64,
+    shards: usize,
+) -> (PlaneReport, Option<ShardedStats>) {
+    let (report, _, _, stats) = run_named_plane_traced(
+        plane,
+        scenario,
+        seed,
+        shards,
+        |_| NoopObserver,
+        |_| NoopProtocolObserver,
+    );
+    (report, stats)
+}
+
+/// [`run_named_plane`] with a transport and a protocol observer per
+/// shard (one of each for a sequential run), returned unmerged in shard
+/// order.
+pub(crate) fn run_named_plane_traced<O, PO>(
+    plane: &str,
+    scenario: &Scenario,
+    seed: u64,
+    shards: usize,
+    make_observer: impl Fn(u32) -> O + Sync,
+    make_proto: impl Fn(u32) -> PO + Sync,
+) -> (PlaneReport, Vec<O>, Vec<PO>, Option<ShardedStats>)
+where
+    O: NetObserver + Send,
+    PO: ProtocolObserver + Send,
+{
+    if plane == "tactic" {
+        if shards <= 1 {
+            let net = Network::build_traced(scenario, seed, make_observer(0), make_proto(0));
+            let (r, o, p) = net.run_traced();
+            return (PlaneReport::Tactic(Box::new(r)), vec![o], vec![p], None);
+        }
+        let (r, o, p, stats) =
+            run_traced_sharded(scenario, seed, shards, make_observer, make_proto)
+                .unwrap_or_else(|e| exit_bad_shards(shards, e));
+        return (PlaneReport::Tactic(Box::new(r)), o, p, Some(stats));
+    }
+    let m = Mechanism::ALL
+        .into_iter()
+        .find(|m| m.to_string() == plane)
+        .expect("known mechanism");
+    if shards <= 1 {
+        let net = BaselineNetwork::build_traced(scenario, m, seed, make_observer(0), make_proto(0));
+        let (r, o, p) = net.run_traced();
+        return (PlaneReport::Baseline(Box::new(r)), vec![o], vec![p], None);
+    }
+    let (r, o, p, stats) =
+        run_baseline_traced_sharded(scenario, m, seed, shards, make_observer, make_proto)
+            .unwrap_or_else(|e| exit_bad_shards(shards, e));
+    (PlaneReport::Baseline(Box::new(r)), o, p, Some(stats))
+}
+
+/// The manifest fields every run fills from its transport totals: event
+/// and queue counts, drops by reason, and shard provenance (`stats ==
+/// None` is a sequential run, recorded as one shard). Callers set the
+/// identity, timing and lifecycle fields over this base.
+pub(crate) fn transport_manifest(
+    events: u64,
+    peak_queue: u64,
+    peak_pit: u64,
+    peak_cs: u64,
+    drops: &DropTotals,
+    stats: Option<ShardedStats>,
+) -> RunManifest {
+    let s = stats.unwrap_or_else(|| ShardedStats {
+        k: 1,
+        epochs: 0,
+        cross_events: 0,
+        edge_cut: 0,
+        per_shard_events: vec![events],
+        per_shard_peak_queue: vec![peak_queue],
+        per_shard_peak_pit: vec![peak_pit],
+        per_shard_peak_cs: vec![peak_cs],
+        epoch_spans: Vec::new(),
+    });
+    RunManifest {
+        sim_events: events,
+        peak_queue_depth: peak_queue,
+        drops_dangling_face: drops.dangling_face,
+        drops_reverse_face: drops.reverse_face,
+        drops_lossy: drops.lossy,
+        drops_link_down: drops.link_down,
+        drops_node_down: drops.node_down,
+        drops_rate_limited: drops.rate_limited,
+        drops_face_capped: drops.face_capped,
+        drops_pit_full: drops.pit_full,
+        shards: s.k as u64,
+        edge_cut: s.edge_cut,
+        epochs: s.epochs,
+        per_shard_events: s.per_shard_events,
+        per_shard_peak_queue: s.per_shard_peak_queue,
+        per_shard_peak_pit: s.per_shard_peak_pit,
+        per_shard_peak_cs: s.per_shard_peak_cs,
+        ..RunManifest::default()
+    }
 }
 
 /// One grid cell, sequential or sharded, with its provenance manifest.
@@ -239,39 +369,19 @@ fn run_one(job: &GridJob<'_>, shards: usize) -> Result<(RunReport, RunManifest),
         run_idx: job.run_idx,
         seed: job.seed(),
         scenario: scenario_summary(job.scenario),
-        sim_events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
         wall_ms: started.elapsed().as_millis() as u64,
-        drops_dangling_face: report.drops.dangling_face,
-        drops_reverse_face: report.drops.reverse_face,
-        drops_lossy: report.drops.lossy,
-        drops_link_down: report.drops.link_down,
-        drops_node_down: report.drops.node_down,
-        drops_rate_limited: report.drops.rate_limited,
-        drops_face_capped: report.drops.face_capped,
-        drops_pit_full: report.drops.pit_full,
-        shards: stats.as_ref().map_or(1, |s| s.k as u64),
-        edge_cut: stats.as_ref().map_or(0, |s| s.edge_cut),
-        epochs: stats.as_ref().map_or(0, |s| s.epochs),
-        per_shard_events: stats
-            .as_ref()
-            .map_or_else(|| vec![report.events], |s| s.per_shard_events.clone()),
-        per_shard_peak_queue: stats.as_ref().map_or_else(
-            || vec![report.peak_queue_depth],
-            |s| s.per_shard_peak_queue.clone(),
-        ),
-        per_shard_peak_pit: stats.as_ref().map_or_else(
-            || vec![report.peak_pit_records],
-            |s| s.per_shard_peak_pit.clone(),
-        ),
-        per_shard_peak_cs: stats.as_ref().map_or_else(
-            || vec![report.peak_cs_entries],
-            |s| s.per_shard_peak_cs.clone(),
-        ),
         tag_renewals: report.providers.tags_renewed,
         revalidations: report.edge_ops.evicted_revalidations
             + report.core_ops.evicted_revalidations,
         bf_rotations: report.edge_ops.bf_rotations + report.core_ops.bf_rotations,
+        ..transport_manifest(
+            report.events,
+            report.peak_queue_depth,
+            report.peak_pit_records,
+            report.peak_cs_entries,
+            &report.drops,
+            stats,
+        )
     };
     Ok((report, manifest))
 }

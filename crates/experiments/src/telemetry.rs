@@ -13,24 +13,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tactic::net::{run_traced_sharded, Network};
 use tactic::scenario::Scenario;
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_traced_sharded, BaselineNetwork};
-use tactic_net::{DropTotals, NoopObserver, ShardedStats};
+use tactic_net::{DropTotals, NoopObserver};
 use tactic_sim::rng::derive_seed;
 use tactic_telemetry::{ProtocolRecorder, Registry, RunManifest};
 
 use crate::opts::{RunOpts, Verbosity};
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{scenario_id, scenario_summary, shaped_scenario, BASE_SEED};
-
-const PLANES: [&str; 4] = [
-    "tactic",
-    "no-access-control",
-    "client-side-ac",
-    "provider-auth-ac",
-];
+use crate::runner::{
+    run_named_plane_traced, scenario_id, scenario_summary, shaped_scenario, transport_manifest,
+    PlaneReport, BASE_SEED, PLANES,
+};
 
 /// Folds the transport's per-reason drop totals into the decision-metric
 /// registry so the exported JSONL carries them alongside Protocol 1–4
@@ -44,117 +37,62 @@ fn inject_drop_metrics(registry: &mut Registry, drops: DropTotals) {
 }
 
 /// Runs one plane once with a recording observer; returns the folded
-/// registry (decision metrics + lifecycle + drop totals), the run's
-/// engine totals `(events, peak_queue_depth, peak_pit, peak_cs,
-/// drops)`, and — for `shards > 1` — the coordinator's
-/// [`ShardedStats`]. Sharded runs merge the per-shard recorders in
-/// shard order; the resulting registry (and therefore the JSONL
-/// export) is byte-identical to the sequential run's. Exits with
-/// status 2 when the shard count does not fit the topology, like any
-/// other bad CLI argument.
-#[allow(clippy::type_complexity)]
+/// registry (decision metrics + lifecycle + drop totals) and a manifest
+/// with the run's transport and lifecycle fields filled in (the caller
+/// sets the identity fields). Sharded runs merge the per-shard
+/// recorders in shard order; the resulting registry (and therefore the
+/// JSONL export) is byte-identical to the sequential run's.
 fn record_plane(
     plane: &str,
     scenario: &Scenario,
     seed: u64,
     shards: usize,
-) -> (
-    Registry,
-    u64,
-    u64,
-    u64,
-    u64,
-    DropTotals,
-    // (tag_renewals, revalidations, bf_rotations) — zero for baselines,
-    // which have no tag lifecycle.
-    [u64; 3],
-    Option<ShardedStats>,
-) {
-    let merge_recorders = |recorders: &[ProtocolRecorder]| {
-        let mut merged = ProtocolRecorder::default();
-        for r in recorders {
-            merged.merge(r);
-        }
-        merged
-    };
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    if plane == "tactic" {
-        let (report, recorder, stats) = if shards <= 1 {
-            let (report, _, recorder) =
-                Network::build_traced(scenario, seed, NoopObserver, ProtocolRecorder::default())
-                    .run_traced();
-            (report, recorder, None)
-        } else {
-            let (report, _, recorders, stats) = run_traced_sharded(
-                scenario,
-                seed,
-                shards,
-                |_| NoopObserver,
-                |_| ProtocolRecorder::default(),
-            )
-            .unwrap_or_else(|e| bail(e));
-            (report, merge_recorders(&recorders), Some(stats))
-        };
-        let mut registry = recorder.export_registry();
-        inject_drop_metrics(&mut registry, report.drops);
-        let lifecycle = [
-            report.providers.tags_renewed,
-            report.edge_ops.evicted_revalidations + report.core_ops.evicted_revalidations,
-            report.edge_ops.bf_rotations + report.core_ops.bf_rotations,
-        ];
-        (
-            registry,
-            report.events,
-            report.peak_queue_depth,
-            report.peak_pit_records,
-            report.peak_cs_entries,
-            report.drops,
-            lifecycle,
-            stats,
-        )
-    } else {
-        let mechanism = Mechanism::ALL
-            .into_iter()
-            .find(|m| m.to_string() == plane)
-            .expect("known mechanism");
-        let (report, recorder, stats) = if shards <= 1 {
-            let (report, _, recorder) = BaselineNetwork::build_traced(
-                scenario,
-                mechanism,
-                seed,
-                NoopObserver,
-                ProtocolRecorder::default(),
-            )
-            .run_traced();
-            (report, recorder, None)
-        } else {
-            let (report, _, recorders, stats) = run_baseline_traced_sharded(
-                scenario,
-                mechanism,
-                seed,
-                shards,
-                |_| NoopObserver,
-                |_| ProtocolRecorder::default(),
-            )
-            .unwrap_or_else(|e| bail(e));
-            (report, merge_recorders(&recorders), Some(stats))
-        };
-        let mut registry = recorder.export_registry();
-        inject_drop_metrics(&mut registry, report.drops);
-        (
-            registry,
-            report.events,
-            report.peak_queue_depth,
-            report.peak_pit_records,
-            report.peak_cs_entries,
-            report.drops,
-            [0, 0, 0],
-            stats,
-        )
+) -> (Registry, RunManifest) {
+    let (report, _, recorders, stats) = run_named_plane_traced(
+        plane,
+        scenario,
+        seed,
+        shards,
+        |_| NoopObserver,
+        |_| ProtocolRecorder::default(),
+    );
+    let mut recorder = ProtocolRecorder::default();
+    for r in &recorders {
+        recorder.merge(r);
     }
+    let (drops, manifest) = match report {
+        PlaneReport::Tactic(r) => (
+            r.drops,
+            RunManifest {
+                tag_renewals: r.providers.tags_renewed,
+                revalidations: r.edge_ops.evicted_revalidations + r.core_ops.evicted_revalidations,
+                bf_rotations: r.edge_ops.bf_rotations + r.core_ops.bf_rotations,
+                ..transport_manifest(
+                    r.events,
+                    r.peak_queue_depth,
+                    r.peak_pit_records,
+                    r.peak_cs_entries,
+                    &r.drops,
+                    stats,
+                )
+            },
+        ),
+        // Baseline mechanisms have no tag lifecycle.
+        PlaneReport::Baseline(r) => (
+            r.drops,
+            transport_manifest(
+                r.events,
+                r.peak_queue_depth,
+                r.peak_pit_records,
+                r.peak_cs_entries,
+                &r.drops,
+                stats,
+            ),
+        ),
+    };
+    let mut registry = recorder.export_registry();
+    inject_drop_metrics(&mut registry, drops);
+    (registry, manifest)
 }
 
 /// Runs `seeds` recorded replicas of one plane fanned out over `threads`
@@ -186,8 +124,7 @@ pub fn folded_plane_registry(
                 }
                 let seed = derive_seed(BASE_SEED, topology, sid, i as u64);
                 let started = Instant::now();
-                let (registry, events, peak, peak_pit, peak_cs, drops, lifecycle, stats) =
-                    record_plane(plane, scenario, seed, shards);
+                let (registry, base) = record_plane(plane, scenario, seed, shards);
                 let manifest = RunManifest {
                     label: format!("telemetry {plane}"),
                     topology: format!("Topo{topology}"),
@@ -195,35 +132,8 @@ pub fn folded_plane_registry(
                     run_idx: i as u64,
                     seed,
                     scenario: scenario_summary(scenario),
-                    sim_events: events,
-                    peak_queue_depth: peak,
                     wall_ms: started.elapsed().as_millis() as u64,
-                    drops_dangling_face: drops.dangling_face,
-                    drops_reverse_face: drops.reverse_face,
-                    drops_lossy: drops.lossy,
-                    drops_link_down: drops.link_down,
-                    drops_node_down: drops.node_down,
-                    drops_rate_limited: drops.rate_limited,
-                    drops_face_capped: drops.face_capped,
-                    drops_pit_full: drops.pit_full,
-                    shards: stats.as_ref().map_or(1, |s| s.k as u64),
-                    edge_cut: stats.as_ref().map_or(0, |s| s.edge_cut),
-                    epochs: stats.as_ref().map_or(0, |s| s.epochs),
-                    per_shard_events: stats
-                        .as_ref()
-                        .map_or_else(|| vec![events], |s| s.per_shard_events.clone()),
-                    per_shard_peak_queue: stats
-                        .as_ref()
-                        .map_or_else(|| vec![peak], |s| s.per_shard_peak_queue.clone()),
-                    per_shard_peak_pit: stats
-                        .as_ref()
-                        .map_or_else(|| vec![peak_pit], |s| s.per_shard_peak_pit.clone()),
-                    per_shard_peak_cs: stats
-                        .as_ref()
-                        .map_or_else(|| vec![peak_cs], |s| s.per_shard_peak_cs.clone()),
-                    tag_renewals: lifecycle[0],
-                    revalidations: lifecycle[1],
-                    bf_rotations: lifecycle[2],
+                    ..base
                 };
                 if verbosity.progress() {
                     eprintln!(

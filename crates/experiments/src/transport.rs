@@ -3,24 +3,14 @@
 //! [`NetCounters`] observer to the shared transport — numbers no plane
 //! report exposes on its own.
 
-use tactic::net::{run_traced_sharded, Network};
 use tactic::scenario::Scenario;
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_traced_sharded, BaselineNetwork};
 use tactic_net::{MobilityConfig, NetCounters};
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::NoopProtocolObserver;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, TextTable};
-use crate::runner::{shaped_scenario, BASE_SEED};
-
-const PLANES: [&str; 4] = [
-    "tactic",
-    "no-access-control",
-    "client-side-ac",
-    "provider-auth-ac",
-];
+use crate::runner::{run_named_plane_traced, shaped_scenario, BASE_SEED, PLANES};
 
 /// One observed run of `plane`, space-partitioned across `shards` when
 /// `shards > 1`; the per-shard counters merge to exactly the sequential
@@ -28,57 +18,19 @@ const PLANES: [&str; 4] = [
 /// count. Exits with status 2 when the shard count does not fit the
 /// topology, like any other bad CLI argument.
 fn counters_for(scenario: &Scenario, plane: &str, seed: u64, shards: usize) -> NetCounters {
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    let merge = |counters: Vec<NetCounters>| {
-        let mut merged = NetCounters::default();
-        for c in &counters {
-            merged.merge(c);
-        }
-        merged
-    };
-    match plane {
-        "tactic" if shards <= 1 => {
-            Network::build_observed(scenario, seed, NetCounters::default())
-                .run_observed()
-                .1
-        }
-        "tactic" => {
-            let (_, counters, _, _) = run_traced_sharded(
-                scenario,
-                seed,
-                shards,
-                |_| NetCounters::default(),
-                |_| NoopProtocolObserver,
-            )
-            .unwrap_or_else(|e| bail(e));
-            merge(counters)
-        }
-        name => {
-            let mechanism = Mechanism::ALL
-                .into_iter()
-                .find(|m| m.to_string() == name)
-                .expect("known mechanism");
-            if shards <= 1 {
-                BaselineNetwork::build_observed(scenario, mechanism, seed, NetCounters::default())
-                    .run_observed()
-                    .1
-            } else {
-                let (_, counters, _, _) = run_baseline_traced_sharded(
-                    scenario,
-                    mechanism,
-                    seed,
-                    shards,
-                    |_| NetCounters::default(),
-                    |_| NoopProtocolObserver,
-                )
-                .unwrap_or_else(|e| bail(e));
-                merge(counters)
-            }
-        }
+    let (_, counters, _, _) = run_named_plane_traced(
+        plane,
+        scenario,
+        seed,
+        shards,
+        |_| NetCounters::default(),
+        |_| NoopProtocolObserver,
+    );
+    let mut merged = NetCounters::default();
+    for c in &counters {
+        merged.merge(c);
     }
+    merged
 }
 
 fn fill(

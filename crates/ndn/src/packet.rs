@@ -325,6 +325,25 @@ impl From<Nack> for Packet {
     }
 }
 
+/// Hands `packet` to `send` once per target, in order. Every target but
+/// the last gets a clone; the last takes the packet by move, so the
+/// common single-receiver case copies nothing. An empty `targets` drops
+/// the packet.
+pub fn fan_out<T, P: Clone>(
+    targets: impl IntoIterator<Item = T>,
+    packet: P,
+    mut send: impl FnMut(T, P),
+) {
+    let mut targets = targets.into_iter().peekable();
+    while let Some(target) = targets.next() {
+        if targets.peek().is_none() {
+            send(target, packet);
+            return;
+        }
+        send(target, packet.clone());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,6 +351,28 @@ mod tests {
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn fan_out_clones_for_all_but_the_last_target() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct Counted(Rc<Cell<usize>>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.set(self.0.get() + 1);
+                Counted(Rc::clone(&self.0))
+            }
+        }
+
+        for (n, clones) in [(0, 0), (1, 0), (3, 2)] {
+            let count = Rc::new(Cell::new(0));
+            let mut seen = Vec::new();
+            fan_out(0..n, Counted(Rc::clone(&count)), |t, _| seen.push(t));
+            assert_eq!(seen, (0..n).collect::<Vec<_>>());
+            assert_eq!(count.get(), clones, "{n} targets");
+        }
     }
 
     #[test]

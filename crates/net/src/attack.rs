@@ -28,15 +28,104 @@
 //! * All defense arithmetic is integer nanosecond bookkeeping — no
 //!   floats, no wall clock.
 
+use tactic_ndn::face::FaceId;
+use tactic_ndn::name::Name;
+use tactic_ndn::packet::{Interest, Packet};
 use tactic_sim::time::{SimDuration, SimTime};
+use tactic_telemetry::{Hop, NodeRole, ProtocolObserver};
 use tactic_topology::graph::NodeId;
 
 use crate::observer::DropReason;
+use crate::plane::Emit;
 
 /// Base RNG stream id for per-attacker adversarial streams
 /// (`ATTACK_STREAM ^ node index`). Chosen disjoint from the transport's
 /// `NODE_STREAM`/`FAULT_STREAM` and every plane's consumer streams.
 pub const ATTACK_STREAM: u64 = 0xA77A_C200_0000_0000;
+
+/// Cadence of the self-rescheduling attack tick.
+pub const TICK: SimDuration = SimDuration::from_millis(100);
+
+/// One attacker node's open-loop traffic source.
+pub trait AttackDriver {
+    /// The Interests to transmit at this [`TICK`].
+    fn on_tick(&mut self, now: SimTime) -> Vec<Interest>;
+}
+
+/// A plane's attacker fleet: per node an optional [`AttackDriver`],
+/// paced by a self-rescheduling sentinel timeout. A node with a driver
+/// ignores its windowed requester entirely (open loop: replies are
+/// never tracked, handovers never refill a window).
+#[derive(Debug)]
+pub struct AttackFleet<D> {
+    drivers: Vec<Option<D>>,
+    /// The sentinel timeout name that paces the drivers (never
+    /// transmitted).
+    tick: Name,
+}
+
+impl<D: AttackDriver> AttackFleet<D> {
+    /// A fleet of `drivers`, indexed by node id (`None` everywhere when
+    /// no plan is active).
+    pub fn new(drivers: Vec<Option<D>>) -> Self {
+        AttackFleet {
+            drivers,
+            tick: "/__adversary/tick".parse().expect("static sentinel name"),
+        }
+    }
+
+    /// True when `node` is an attack driver rather than a requester.
+    pub fn drives(&self, node: NodeId) -> bool {
+        self.drivers[node.index()].is_some()
+    }
+
+    /// Arms `node`'s pacer in place of its windowed requester; returns
+    /// `false` (emitting nothing) when `node` has no driver.
+    pub fn on_start(&self, node: NodeId, out: &mut Vec<Emit>) -> bool {
+        if !self.drives(node) {
+            return false;
+        }
+        out.push(Emit::Timeout {
+            name: self.tick.clone(),
+            delay: TICK,
+        });
+        true
+    }
+
+    /// Handles a fired timeout: at the tick sentinel, transmits the
+    /// driver's Interests (each reported to `proto`) and re-arms the
+    /// pacer. Returns `false` for any other name — an ordinary request
+    /// expiry the plane handles itself.
+    pub fn on_timeout<PO: ProtocolObserver>(
+        &mut self,
+        node: NodeId,
+        name: &Name,
+        now: SimTime,
+        proto: &mut PO,
+        out: &mut Vec<Emit>,
+    ) -> bool {
+        if *name != self.tick {
+            return false;
+        }
+        let Some(driver) = self.drivers[node.index()].as_mut() else {
+            return true;
+        };
+        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, now);
+        for i in driver.on_tick(now) {
+            proto.on_interest_emitted(hop, i.nonce(), i.name());
+            out.push(Emit::Send {
+                face: FaceId::new(0),
+                packet: Packet::Interest(i),
+                compute: SimDuration::ZERO,
+            });
+        }
+        out.push(Emit::Timeout {
+            name: self.tick.clone(),
+            delay: TICK,
+        });
+        true
+    }
+}
 
 /// The adversarial behaviours an attacker fleet can execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,6 +194,14 @@ impl AttackPlan {
     /// Whether the plan drives the attacker fleet at all.
     pub fn active(&self) -> bool {
         self.class.is_some() && self.intensity > 0
+    }
+
+    /// The class the planes' open-loop [`AttackDriver`]s run: `Some` for
+    /// an active plan other than [`AttackClass::Churn`], which the
+    /// transport executes as scheduled moves instead.
+    pub fn driver_class(&self) -> Option<AttackClass> {
+        self.class
+            .filter(|&c| self.intensity > 0 && c != AttackClass::Churn)
     }
 
     /// One-token provenance summary for manifests (`off`,

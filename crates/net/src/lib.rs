@@ -3,10 +3,12 @@
 //! The simulation **transport plane** shared by every mechanism the
 //! workspace evaluates. The TACTIC routers (`tactic::net`) and the
 //! baseline mechanisms (`tactic_baselines::net`) both run on *this* event
-//! loop, so "same topologies, link models, and workload" is a structural
-//! guarantee rather than a doc-comment promise — mirroring how
-//! access-control schemes are normally evaluated against one common CCN
-//! forwarding substrate instead of per-scheme simulators.
+//! loop, so "same link models and workload" is a structural guarantee
+//! rather than a doc-comment promise — mirroring how access-control
+//! schemes are normally evaluated against one common CCN forwarding
+//! substrate instead of per-scheme simulators. (Topologies are shared
+//! too, except generated ones: each plane draws those from its own
+//! salted RNG — see `tactic::scenario::Scenario::assembly`.)
 //!
 //! The crate owns everything that is mechanism-independent:
 //!
@@ -17,14 +19,18 @@
 //!   mobility/handover model;
 //! * [`plane`] — the [`NodePlane`] trait mechanisms
 //!   implement to plug their node logic into the loop;
+//! * [`sharded`] — the epoch coordinator and the one generic sharded
+//!   runner ([`run_plane_sharded`]) every [`ShardablePlane`] uses;
 //! * [`observer`] — the [`NetObserver`] hook layer:
 //!   per-event tracing, link-utilisation counters, and drop-reason
 //!   accounting, implemented once for every experiment;
 //! * [`attack`] — adversarial workload plans ([`AttackPlan`]) and the
 //!   edge defenses that absorb them ([`DefenseConfig`], the
-//!   transport-enforced [`EdgeDefense`]);
+//!   transport-enforced [`EdgeDefense`]), plus the [`AttackFleet`] that
+//!   paces every plane's attack drivers;
 //! * [`requester`] — the shared Zipf-window workload driver;
-//! * [`relay`] — the access-point pending/demultiplex relay;
+//! * [`relay`] — the access-point pending/demultiplex relay every
+//!   plane's APs run;
 //! * [`mobility`] — the handover model's configuration;
 //! * [`fault`] — deterministic fault injection: per-link loss models,
 //!   scheduled link/node failures, and the consumer retransmission
@@ -123,14 +129,15 @@ pub mod sharded;
 pub mod transport;
 
 pub use attack::{
-    AttackClass, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, RateLimit, ATTACK_STREAM,
+    AttackClass, AttackDriver, AttackFleet, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense,
+    RateLimit, ATTACK_STREAM,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LossModel, RetransmitPolicy};
 pub use links::{fib_routes_filtered, populate_fib, provider_prefix, FibRoute, Links};
 pub use mobility::MobilityConfig;
 pub use observer::{DropReason, DropTotals, EventTrace, NetCounters, NetObserver, NoopObserver};
-pub use plane::{Emit, NodePlane, PlaneCtx};
+pub use plane::{emit_requests, Emit, NodePlane, PlaneCtx, SweepGauges};
 pub use relay::ApRelay;
 pub use requester::{Catalog, RequesterConfig, ZipfRequester};
-pub use sharded::{run_sharded, run_sharded_profiled, ShardedStats};
+pub use sharded::{run_plane_sharded, ShardablePlane, ShardedRun, ShardedStats};
 pub use transport::{KeyedEvent, Net, NetConfig, NetEvent, ShardSpec, TransportReport};

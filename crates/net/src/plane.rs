@@ -9,11 +9,11 @@
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
-use tactic_ndn::packet::Packet;
+use tactic_ndn::packet::{Interest, Packet};
 use tactic_sim::cost::CostModel;
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
-use tactic_telemetry::{SampleRow, SpanProfiler};
+use tactic_telemetry::{Hop, ProtocolObserver, SampleRow, SpanProfiler};
 use tactic_topology::graph::NodeId;
 
 use crate::observer::DropTotals;
@@ -67,6 +67,44 @@ pub enum Emit {
     },
 }
 
+/// Transmits a requesting node's `interests` on its radio face (face 0),
+/// reporting each to `proto`. Each Interest's expiry check —
+/// `timeout_for` its name, so a retransmission carries its backed-off
+/// timeout — is scheduled *before* the Interest is transmitted: the
+/// historical FIFO tie-break order every plane's golden runs rely on.
+pub fn emit_requests<PO: ProtocolObserver>(
+    proto: &mut PO,
+    hop: Hop,
+    interests: Vec<Interest>,
+    timeout_for: impl Fn(&Name) -> SimDuration,
+    out: &mut Vec<Emit>,
+) {
+    for i in interests {
+        proto.on_interest_emitted(hop, i.nonce(), i.name());
+        out.push(Emit::Timeout {
+            name: i.name().clone(),
+            delay: timeout_for(i.name()),
+        });
+        out.push(Emit::Send {
+            face: FaceId::new(0),
+            packet: Packet::Interest(i),
+            compute: SimDuration::ZERO,
+        });
+    }
+}
+
+/// What a plane held at one purge sweep, summed over its routers and
+/// sampled *before* the sweep purged anything, so the peaks reflect what
+/// loss actually accumulated. The transport records one per sweep in
+/// [`TransportReport::sweeps`](crate::TransportReport::sweeps).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepGauges {
+    /// PIT records (in-records, not entries).
+    pub pit_records: u64,
+    /// Content-store entries.
+    pub cs_entries: u64,
+}
+
 /// Mechanism-specific node logic plugged into the shared transport.
 ///
 /// Implementations hold every node's state and must be deterministic: the
@@ -101,8 +139,13 @@ pub trait NodePlane {
     }
 
     /// The periodic (1 s) expiry sweep: purge PITs, relay state, and any
-    /// other soft state.
-    fn on_purge(&mut self, now: SimTime) {}
+    /// other soft state, returning the gauges read before purging. A
+    /// sharded replica's non-owned nodes stay pristine (empty PITs and
+    /// content stores), so summing every node yields exactly this
+    /// shard's share.
+    fn on_purge(&mut self, now: SimTime) -> SweepGauges {
+        SweepGauges::default()
+    }
 
     /// `node` was just re-attached to a new access point by the mobility
     /// model; the plane may refresh credentials and refill its window.

@@ -13,11 +13,17 @@ use std::collections::HashMap;
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
+use tactic_ndn::packet::{fan_out, Interest, Packet};
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::roles::Topology;
 
 use crate::links::Links;
+use crate::plane::Emit;
+
+/// How long a pending user Interest waits at an access point before a
+/// purge sweep forgets it.
+const PENDING_TTL: SimDuration = SimDuration::from_secs(4);
 
 /// Pending-Interest state for one access point.
 #[derive(Debug)]
@@ -76,12 +82,50 @@ impl ApRelay {
             .push((face, now, identity));
     }
 
-    /// Drops pending entries older than `horizon`.
-    pub fn purge(&mut self, now: SimTime, horizon: SimDuration) {
+    /// Drops pending entries older than `PENDING_TTL` (4 s).
+    pub fn purge(&mut self, now: SimTime) {
         self.pending.retain(|_, faces| {
-            faces.retain(|&(_, t, _)| now.saturating_since(t) < horizon);
+            faces.retain(|&(_, t, _)| now.saturating_since(t) < PENDING_TTL);
             !faces.is_empty()
         });
+    }
+
+    /// Relays one packet that arrived on `face`. A user Interest is
+    /// noted and forwarded upstream (Interests never flow AP-ward); Data
+    /// and NACKs go to the pending user faces the reply claims.
+    ///
+    /// The mechanism supplies its two differences: `stamp` rewrites an
+    /// Interest before it leaves (TACTIC extends the access path with
+    /// this AP's id), and `identity` reads the requester identity a
+    /// packet carries (`None` broadcasts to everyone pending on the
+    /// name).
+    pub fn relay(
+        &mut self,
+        face: FaceId,
+        packet: Packet,
+        now: SimTime,
+        stamp: impl FnOnce(NodeId, &mut Interest),
+        identity: impl Fn(&Packet) -> Option<u64>,
+        out: &mut Vec<Emit>,
+    ) {
+        let send = |face, packet| Emit::Send {
+            face,
+            packet,
+            compute: SimDuration::ZERO,
+        };
+        match packet {
+            Packet::Interest(_) if face == self.upstream => {}
+            Packet::Interest(mut i) => {
+                stamp(self.id, &mut i);
+                let packet = Packet::Interest(i);
+                self.note(packet.name().clone(), face, now, identity(&packet));
+                out.push(send(self.upstream, packet));
+            }
+            reply => {
+                let faces = self.claim(reply.name(), identity(&reply));
+                fan_out(faces, reply, |f, p| out.push(send(f, p)));
+            }
+        }
     }
 
     /// Removes and returns the pending faces a reply identified by
@@ -194,7 +238,7 @@ mod tests {
         let mut ap = relay();
         ap.note(name("/a/b"), FaceId::new(1), SimTime::ZERO, None);
         ap.note(name("/a/c"), FaceId::new(2), SimTime::from_secs(5), None);
-        ap.purge(SimTime::from_secs(6), SimDuration::from_secs(4));
+        ap.purge(SimTime::from_secs(6));
         assert!(ap.claim(&name("/a/b"), None).is_empty(), "stale: purged");
         assert_eq!(ap.claim(&name("/a/c"), None), vec![FaceId::new(2)]);
     }

@@ -29,10 +29,13 @@ use std::time::Instant;
 
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::EpochSpan;
+use tactic_topology::graph::NodeId;
+use tactic_topology::roles::Topology;
+use tactic_topology::shard::{ShardError, ShardMap};
 
 use crate::observer::NetObserver;
 use crate::plane::NodePlane;
-use crate::transport::{KeyedEvent, Net, TransportReport};
+use crate::transport::{KeyedEvent, Net, ShardSpec, TransportReport};
 
 /// What the coordinator measured about one sharded run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,25 +46,106 @@ pub struct ShardedStats {
     pub epochs: u64,
     /// Cross-shard events exchanged through mailboxes.
     pub cross_events: u64,
-    /// Undirected links crossing shard boundaries. The transport layer
-    /// cannot see the partitioner, so [`run_sharded`] reports 0; callers
-    /// that built a `ShardMap` fill it in.
+    /// Undirected links crossing shard boundaries.
     pub edge_cut: u64,
     /// Per shard: engine events processed.
     pub per_shard_events: Vec<u64>,
     /// Per shard: engine queue high-water mark.
     pub per_shard_peak_queue: Vec<u64>,
-    /// Per shard: PIT-record high-water mark. The transport cannot see
-    /// plane state, so [`run_sharded`] reports empty; callers that can
-    /// read their plane's sweep history fill it in (like `edge_cut`).
+    /// Per shard: PIT-record high-water mark over the purge sweeps.
     pub per_shard_peak_pit: Vec<u64>,
-    /// Per shard: content-store high-water mark (caller-filled, like
-    /// `per_shard_peak_pit`).
+    /// Per shard: content-store high-water mark over the purge sweeps.
     pub per_shard_peak_cs: Vec<u64>,
     /// One wall-clock span per (shard, epoch), ordered by shard then
-    /// epoch. Only populated by [`run_sharded_profiled`] with
-    /// `profile = true` — nondeterministic, never golden.
+    /// epoch. Only populated when the run profiles — nondeterministic,
+    /// never golden.
     pub epoch_spans: Vec<EpochSpan>,
+}
+
+/// A [`NodePlane`] whose per-node state a sharded run can stitch back
+/// together. Every shard replica holds a state for every node, but only
+/// the owning shard's copy ever changes; [`run_plane_sharded`] moves
+/// each node's owned state into shard 0's plane.
+pub trait ShardablePlane: NodePlane {
+    /// Swaps `node`'s state with `owner`'s copy of it, so `self` holds
+    /// the state the owning shard evolved.
+    fn adopt(&mut self, owner: &mut Self, node: NodeId);
+}
+
+/// A finished sharded run, merged back to the sequential-equivalent view.
+pub struct ShardedRun<P, O> {
+    /// Every shard's plane in shard order. `planes[0]` holds the stitched
+    /// node states of the whole network; the others keep only their own
+    /// protocol observers meaningful.
+    pub planes: Vec<P>,
+    /// Every shard's transport observer in shard order, unmerged.
+    pub observers: Vec<O>,
+    /// The merged transport report ([`TransportReport::merge_shards`]).
+    pub transport: TransportReport,
+    /// What the coordinator measured.
+    pub stats: ShardedStats,
+}
+
+/// Runs one plane space-partitioned across `k` worker threads.
+///
+/// Partitions `topo` with [`ShardMap::partition`] (its lookahead widened
+/// to any link when `mobility` re-points radio links mid-run), then has
+/// each worker call `build` with its [`ShardSpec`]; every instance must
+/// be assembled via [`Net::assemble_sharded`] from identical inputs.
+/// `horizon` is the nets' engine horizon and `profile` turns on per-epoch
+/// wall-clock spans. The per-shard transport reports are merged, the
+/// node states stitched by owner, and the partition's edge cut recorded.
+///
+/// # Errors
+///
+/// Returns the partitioner's [`ShardError`] for `k == 0` or more shards
+/// than routers.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics.
+pub fn run_plane_sharded<P, O, F>(
+    topo: Topology,
+    k: usize,
+    mobility: bool,
+    horizon: SimTime,
+    profile: bool,
+    build: F,
+) -> Result<ShardedRun<P, O>, ShardError>
+where
+    P: ShardablePlane + Send,
+    O: NetObserver + Send,
+    F: Fn(ShardSpec) -> Net<P, O> + Sync,
+{
+    let map = ShardMap::partition(&topo, k)?;
+    // Workers rebuild the network themselves; the partition is all the
+    // coordinator needs, so the topology goes before the run.
+    drop(topo);
+    let lookahead = map.lookahead(mobility);
+    let (results, mut stats) = coordinate(k, lookahead, horizon, profile, |s| {
+        build(ShardSpec {
+            k,
+            my_shard: s,
+            shard_of: map.shard_of.clone(),
+        })
+    });
+    stats.edge_cut = map.edge_cut;
+
+    let (mut planes, rest): (Vec<P>, Vec<_>) =
+        results.into_iter().map(|(p, o, t)| (p, (o, t))).unzip();
+    let (observers, transports): (Vec<O>, Vec<_>) = rest.into_iter().unzip();
+    let (host, others) = planes.split_first_mut().expect("at least one shard");
+    for (i, &s) in map.shard_of.iter().enumerate() {
+        if s != 0 {
+            host.adopt(&mut others[s as usize - 1], NodeId::from_index(i));
+        }
+    }
+    Ok(ShardedRun {
+        planes,
+        observers,
+        transport: TransportReport::merge_shards(&transports),
+        stats,
+    })
 }
 
 enum ToWorker {
@@ -78,54 +162,23 @@ struct FromWorker {
     next_at: Option<SimTime>,
 }
 
-/// Runs `k` shard [`Net`]s to completion on `k` threads.
+/// The epoch coordinator: runs `k` shard [`Net`]s to completion on `k`
+/// threads.
 ///
 /// `build(shard)` constructs shard `shard`'s instance (each worker calls
 /// it on its own thread, so replicated-state construction parallelizes
-/// too); every instance must be assembled via
-/// [`Net::assemble_sharded`](crate::transport::Net::assemble_sharded)
-/// from identical inputs. `lookahead` is the epoch window width —
-/// normally [`ShardMap::lookahead`](tactic_topology::shard::ShardMap) —
-/// and `None` means no event can cross shards (each shard runs to its
-/// horizon in a single epoch). `horizon` must equal the nets' engine
-/// horizon: events pending beyond it (the perpetual purge reschedule,
-/// tail deliveries) terminate the loop instead of driving more epochs.
+/// too). `lookahead` is the epoch window width, and `None` means no
+/// event can cross shards (each shard runs to its horizon in a single
+/// epoch). `horizon` must equal the nets' engine horizon: events pending
+/// beyond it (the perpetual purge reschedule, tail deliveries) terminate
+/// the loop instead of driving more epochs. When `profile` is set, every
+/// worker records one [`EpochSpan`] per epoch (work time, barrier-wait
+/// time, mailbox drain size) relative to a shared origin captured before
+/// the threads spawn; the simulation itself is bit-identical either way.
 ///
 /// Returns each shard's `(plane, observer, report)` in shard order plus
-/// the coordinator's stats. The caller owns the merge: stitch the owned
-/// node states together, max-merge queue peaks, and subtract the
-/// mirrored purge/fault duplicates from the event total.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, if `build` builds nets with a different shard
-/// count, or if a worker thread panics.
-pub fn run_sharded<P, O, F>(
-    k: usize,
-    lookahead: Option<SimDuration>,
-    horizon: SimTime,
-    build: F,
-) -> (Vec<(P, O, TransportReport)>, ShardedStats)
-where
-    P: NodePlane + Send,
-    O: NetObserver + Send,
-    F: Fn(u32) -> Net<P, O> + Sync,
-{
-    run_sharded_profiled(k, lookahead, horizon, false, build)
-}
-
-/// [`run_sharded`] with optional per-epoch wall-clock accounting: when
-/// `profile` is set, every worker records one [`EpochSpan`] per epoch
-/// (work time, barrier-wait time, mailbox drain size) relative to a
-/// shared origin captured before the threads spawn, and the spans come
-/// back in [`ShardedStats::epoch_spans`] ordered by shard then epoch.
-/// The simulation itself is bit-identical either way — only wall-clock
-/// metadata is collected.
-///
-/// # Panics
-///
-/// As [`run_sharded`].
-pub fn run_sharded_profiled<P, O, F>(
+/// the coordinator's stats (`edge_cut` left 0 for the caller).
+fn coordinate<P, O, F>(
     k: usize,
     lookahead: Option<SimDuration>,
     horizon: SimTime,
@@ -162,7 +215,6 @@ where
             handles.push(scope.spawn(move || {
                 let mut net = build(shard as u32);
                 let mut spans: Vec<EpochSpan> = Vec::new();
-                let mut epoch_idx = 0u64;
                 // Report readiness (and the first pending event) before
                 // the first epoch command.
                 to_main
@@ -178,24 +230,19 @@ where
                     let wait_ns = wait_started.map_or(0, |w| w.elapsed().as_nanos() as u64);
                     match cmd {
                         ToWorker::Epoch { end, inbox } => {
-                            if profile {
-                                let inbox_len = inbox.len() as u64;
-                                let start_ns = t0.elapsed().as_nanos() as u64;
-                                net.inject(inbox);
-                                net.run_epoch(end);
-                                let work_ns = t0.elapsed().as_nanos() as u64 - start_ns;
+                            let inbox_len = inbox.len() as u64;
+                            let start_ns = profile.then(|| t0.elapsed().as_nanos() as u64);
+                            net.inject(inbox);
+                            net.run_epoch(end);
+                            if let Some(start_ns) = start_ns {
                                 spans.push(EpochSpan {
                                     shard: shard as u32,
-                                    epoch: epoch_idx,
+                                    epoch: spans.len() as u64,
                                     start_ns,
-                                    work_ns,
+                                    work_ns: t0.elapsed().as_nanos() as u64 - start_ns,
                                     wait_ns,
                                     inbox: inbox_len,
                                 });
-                                epoch_idx += 1;
-                            } else {
-                                net.inject(inbox);
-                                net.run_epoch(end);
                             }
                             let outboxes = net.take_outboxes();
                             let next_at = net.next_event_at();
@@ -294,8 +341,8 @@ where
         edge_cut: 0,
         per_shard_events: results.iter().map(|r| r.2.events).collect(),
         per_shard_peak_queue: results.iter().map(|r| r.2.peak_queue_depth).collect(),
-        per_shard_peak_pit: Vec::new(),
-        per_shard_peak_cs: Vec::new(),
+        per_shard_peak_pit: results.iter().map(|r| r.2.peak_pit_records()).collect(),
+        per_shard_peak_cs: results.iter().map(|r| r.2.peak_cs_entries()).collect(),
         epoch_spans,
     };
     (results, stats)

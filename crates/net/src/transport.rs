@@ -47,7 +47,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::links::{fib_routes_filtered, Links};
 use crate::mobility::MobilityConfig;
 use crate::observer::{DropReason, DropTotals, NetObserver, NoopObserver};
-use crate::plane::{Emit, NodePlane, PlaneCtx};
+use crate::plane::{Emit, NodePlane, PlaneCtx, SweepGauges};
 
 /// RNG stream id for the fault layer's dedicated loss stream: forked off
 /// the run RNG before any other use, so loss draws never perturb the
@@ -190,9 +190,6 @@ pub struct TransportReport {
     pub deliveries: u64,
     /// Handovers performed by mobile clients.
     pub moves: u64,
-    /// Purge sweeps processed. In a sharded run every shard processes
-    /// every sweep, so the merged event total subtracts the duplicates.
-    pub purges: u64,
     /// Scheduled fault events applied (mirrored per shard, like purges).
     pub faults_applied: u64,
     /// Sampler ticks processed (mirrored per shard, like purges).
@@ -201,6 +198,11 @@ pub struct TransportReport {
     pub peak_queue_depth: u64,
     /// Per-reason drop totals counted by the transport itself.
     pub drops: DropTotals,
+    /// The plane's gauges at each purge sweep processed, in sweep order.
+    /// Every shard processes every sweep at the same instant, so the
+    /// merged event total subtracts the duplicates and per-shard vectors
+    /// add element-wise to the sequential one.
+    pub sweeps: Vec<SweepGauges>,
     /// The sampler's time series (empty when disabled). Deterministic
     /// and golden: a K-sharded merge is byte-identical to sequential.
     pub samples: Vec<SampleRow>,
@@ -211,22 +213,33 @@ pub struct TransportReport {
 }
 
 impl TransportReport {
+    /// High-water mark of PIT records over the purge sweeps.
+    pub fn peak_pit_records(&self) -> u64 {
+        self.sweeps.iter().map(|s| s.pit_records).max().unwrap_or(0)
+    }
+
+    /// High-water mark of content-store entries over the purge sweeps.
+    pub fn peak_cs_entries(&self) -> u64 {
+        self.sweeps.iter().map(|s| s.cs_entries).max().unwrap_or(0)
+    }
+
     /// Folds per-shard reports into the sequential-equivalent totals:
     /// purge sweeps and fault applications are mirrored in every shard,
-    /// so the event total subtracts the `K - 1` duplicate copies;
-    /// everything else happens in exactly one shard and sums; the queue
-    /// peak is a per-engine quantity, so the merged value is the max.
+    /// so the event total subtracts the `K - 1` duplicate copies and the
+    /// per-sweep gauges add element-wise; everything else happens in
+    /// exactly one shard and sums; the queue peak is a per-engine
+    /// quantity, so the merged value is the max.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty.
     pub fn merge_shards(shards: &[TransportReport]) -> TransportReport {
         let k = shards.len() as u64;
-        let purges = shards[0].purges;
+        let purges = shards[0].sweeps.len();
         let faults_applied = shards[0].faults_applied;
         let samples_taken = shards[0].samples_taken;
         debug_assert!(
-            shards.iter().all(|t| t.purges == purges
+            shards.iter().all(|t| t.sweeps.len() == purges
                 && t.faults_applied == faults_applied
                 && t.samples_taken == samples_taken),
             "mirrored event counts must agree across shards"
@@ -234,6 +247,13 @@ impl TransportReport {
         let mut drops = DropTotals::default();
         for t in shards {
             drops.merge(&t.drops);
+        }
+        let mut sweeps = shards[0].sweeps.clone();
+        for t in &shards[1..] {
+            for (sum, s) in sweeps.iter_mut().zip(&t.sweeps) {
+                sum.pit_records += s.pit_records;
+                sum.cs_entries += s.cs_entries;
+            }
         }
         let samples = tactic_telemetry::merge_timeseries(
             &shards.iter().map(|t| t.samples.clone()).collect::<Vec<_>>(),
@@ -246,14 +266,14 @@ impl TransportReport {
         }
         TransportReport {
             events: shards.iter().map(|t| t.events).sum::<u64>()
-                - (k - 1) * (purges + faults_applied + samples_taken),
+                - (k - 1) * (purges as u64 + faults_applied + samples_taken),
             deliveries: shards.iter().map(|t| t.deliveries).sum(),
             moves: shards.iter().map(|t| t.moves).sum(),
-            purges,
             faults_applied,
             samples_taken,
             peak_queue_depth: shards.iter().map(|t| t.peak_queue_depth).max().unwrap_or(0),
             drops,
+            sweeps,
             samples,
             profile,
         }
@@ -293,8 +313,9 @@ pub struct Net<P, O = NoopObserver> {
     mobility: Option<MobilityConfig>,
     moves: u64,
     deliveries: u64,
-    purges: u64,
     faults_applied: u64,
+    /// The plane's gauges at each purge sweep (one per sweep processed).
+    sweeps: Vec<SweepGauges>,
     /// Packets accepted onto a link (counted after the send-side drop
     /// checks, so `sent - delivered - delivery-side drops` is the
     /// in-flight population the sampler reports).
@@ -436,8 +457,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             mobility: config.mobility,
             moves: 0,
             deliveries: 0,
-            purges: 0,
             faults_applied: 0,
+            sweeps: Vec::new(),
             sent: 0,
             sample_every: config.sample_every,
             sample_seq: 0,
@@ -539,24 +560,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// Runs to the horizon; returns the plane (for report aggregation),
     /// the observer, and the transport's own totals.
     pub fn run(mut self) -> (P, O, TransportReport) {
-        if self.profiler.is_some() {
-            loop {
-                let started = std::time::Instant::now();
-                let ev = self.engine.pop();
-                let ns = started.elapsed().as_nanos() as u64;
-                if let Some(p) = self.profiler.as_deref_mut() {
-                    p.record_ns("calendar.pop", ns);
-                }
-                match ev {
-                    Some(ev) => self.dispatch(ev),
-                    None => break,
-                }
-            }
-        } else {
-            while let Some(ev) = self.engine.pop() {
-                self.dispatch(ev);
-            }
-        }
+        self.run_epoch(SimTime::MAX);
         self.finish()
     }
 
@@ -617,11 +621,11 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             events: self.engine.processed(),
             deliveries: self.deliveries,
             moves: self.moves,
-            purges: self.purges,
             faults_applied: self.faults_applied,
             samples_taken: self.samples.len() as u64,
             peak_queue_depth: self.engine.peak_pending() as u64,
             drops: self.drops,
+            sweeps: self.sweeps,
             samples: self.samples,
             profile: self.profiler,
         };
@@ -734,63 +738,25 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 };
                 self.deliveries += 1;
                 self.observer.on_deliver(node, face, &packet, now);
-                let mut out = std::mem::take(&mut self.scratch);
-                self.plane.on_packet(
-                    node,
-                    face,
-                    packet,
-                    &mut PlaneCtx {
-                        now,
-                        rng: &mut self.rngs[node.index()],
-                        cost: &self.cost,
-                        profiler: self.profiler.as_deref_mut(),
-                        drops: &mut self.drops,
-                    },
-                    &mut out,
-                );
-                self.apply(node, now, out);
+                self.call_plane(node, now, |p, ctx, out| {
+                    p.on_packet(node, face, packet, ctx, out);
+                });
             }
             NetEvent::ConsumerStart { node } => {
-                if self.faults.node_is_down(node) {
-                    return;
+                if !self.faults.node_is_down(node) {
+                    self.call_plane(node, now, |p, ctx, out| p.on_start(node, ctx, out));
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.plane.on_start(
-                    node,
-                    &mut PlaneCtx {
-                        now,
-                        rng: &mut self.rngs[node.index()],
-                        cost: &self.cost,
-                        profiler: self.profiler.as_deref_mut(),
-                        drops: &mut self.drops,
-                    },
-                    &mut out,
-                );
-                self.apply(node, now, out);
             }
             NetEvent::Timeout { node, name, sent } => {
-                if self.faults.node_is_down(node) {
-                    return;
+                if !self.faults.node_is_down(node) {
+                    self.call_plane(node, now, |p, ctx, out| {
+                        p.on_timeout(node, name, sent, ctx, out);
+                    });
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.plane.on_timeout(
-                    node,
-                    name,
-                    sent,
-                    &mut PlaneCtx {
-                        now,
-                        rng: &mut self.rngs[node.index()],
-                        cost: &self.cost,
-                        profiler: self.profiler.as_deref_mut(),
-                        drops: &mut self.drops,
-                    },
-                    &mut out,
-                );
-                self.apply(node, now, out);
             }
             NetEvent::Purge => {
-                self.plane.on_purge(now);
-                self.purges += 1;
+                let gauges = self.plane.on_purge(now);
+                self.sweeps.push(gauges);
                 let key = self.next_purge_key();
                 self.engine
                     .schedule_keyed(now + SimDuration::from_secs(1), key, NetEvent::Purge);
@@ -914,6 +880,26 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     fn drop_packet(&mut self, node: NodeId, reason: DropReason, now: SimTime) {
         self.drops.count(reason);
         self.observer.on_drop(node, reason, now);
+    }
+
+    /// Runs one plane callback for an event homed at `node`, with that
+    /// node's context, then applies the emits it pushed.
+    fn call_plane(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        callback: impl FnOnce(&mut P, &mut PlaneCtx<'_>, &mut Vec<Emit>),
+    ) {
+        let mut out = std::mem::take(&mut self.scratch);
+        let mut ctx = PlaneCtx {
+            now,
+            rng: &mut self.rngs[node.index()],
+            cost: &self.cost,
+            profiler: self.profiler.as_deref_mut(),
+            drops: &mut self.drops,
+        };
+        callback(&mut self.plane, &mut ctx, &mut out);
+        self.apply(node, now, out);
     }
 
     /// Applies a callback's emits in push order, recycling the buffer.
@@ -1060,18 +1046,6 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         );
         self.moves += 1;
         self.observer.on_handover(node, current_ap, new_ap, now);
-        let mut out = std::mem::take(&mut self.scratch);
-        self.plane.on_handover(
-            node,
-            &mut PlaneCtx {
-                now,
-                rng: &mut self.rngs[node.index()],
-                cost: &self.cost,
-                profiler: self.profiler.as_deref_mut(),
-                drops: &mut self.drops,
-            },
-            &mut out,
-        );
-        self.apply(node, now, out);
+        self.call_plane(node, now, |p, ctx, out| p.on_handover(node, ctx, out));
     }
 }

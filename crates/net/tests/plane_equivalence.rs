@@ -7,10 +7,13 @@
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Packet, Payload};
-use tactic_net::{Emit, EventTrace, Links, Net, NetConfig, NodePlane, PlaneCtx, TransportReport};
+use tactic_net::{
+    run_plane_sharded, Emit, EventTrace, Links, Net, NetConfig, NodePlane, NoopObserver, PlaneCtx,
+    ShardablePlane, SweepGauges, TransportReport,
+};
 use tactic_sim::cost::CostModel;
 use tactic_sim::rng::Rng;
-use tactic_sim::time::SimDuration;
+use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::{Graph, LinkSpec, NodeId, Role};
 use tactic_topology::roles::Topology;
 
@@ -224,4 +227,130 @@ fn observers_do_not_perturb_the_transport() {
     let (traced_report, trace) = run_traced(FlipPlane, 3);
     assert_eq!(plain_report, traced_report);
     assert!(trace.delivered() > 0);
+}
+
+/// client(0) — edge router(1) — core router(2) — provider(3): the
+/// smallest topology two shards can split.
+fn two_router_chain() -> Topology {
+    let mut graph = Graph::new();
+    let client = graph.add_node(Role::Client);
+    let edge = graph.add_node(Role::EdgeRouter);
+    let core = graph.add_node(Role::CoreRouter);
+    let provider = graph.add_node(Role::Provider);
+    graph.add_link(client, edge, LinkSpec::edge());
+    graph.add_link(edge, core, LinkSpec::core());
+    graph.add_link(core, provider, LinkSpec::edge());
+    Topology {
+        graph,
+        core_routers: vec![core],
+        edge_routers: vec![edge],
+        access_points: vec![],
+        providers: vec![provider],
+        clients: vec![client],
+        attackers: vec![],
+    }
+}
+
+/// A minimal plane with per-node state to stitch: every node counts the
+/// packets it handled and remembers when it saw the last one. Routers
+/// relay between their two faces, the provider answers Interests.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CountPlane {
+    seen: Vec<(u64, SimTime)>,
+}
+
+impl NodePlane for CountPlane {
+    fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
+        FlipPlane.on_start(node, ctx, out);
+    }
+
+    fn on_packet(
+        &mut self,
+        node: NodeId,
+        face: FaceId,
+        packet: Packet,
+        ctx: &mut PlaneCtx<'_>,
+        out: &mut Vec<Emit>,
+    ) {
+        self.seen[node.index()] = (self.seen[node.index()].0 + 1, ctx.now);
+        let relay = |face: FaceId| Emit::Send {
+            face,
+            packet: packet.clone(),
+            compute: SimDuration::ZERO,
+        };
+        match node.0 {
+            1 | 2 => out.push(relay(FaceId::new(1 - face.index()))),
+            3 => {
+                if let Packet::Interest(i) = &packet {
+                    out.push(Emit::Send {
+                        face,
+                        packet: Packet::Data(Data::new(i.name().clone(), Payload::Synthetic(256))),
+                        compute: SimDuration::ZERO,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_purge(&mut self, _now: SimTime) -> SweepGauges {
+        // Non-owned replicas never change, so their zeros add nothing.
+        SweepGauges {
+            pit_records: self.seen.iter().map(|&(n, _)| n).sum(),
+            cs_entries: self.seen.iter().filter(|&&(n, _)| n > 0).count() as u64,
+        }
+    }
+}
+
+impl ShardablePlane for CountPlane {
+    fn adopt(&mut self, owner: &mut Self, node: NodeId) {
+        std::mem::swap(&mut self.seen[node.index()], &mut owner.seen[node.index()]);
+    }
+}
+
+#[test]
+fn the_generic_sharded_runner_reproduces_a_sequential_plane() {
+    let topo = two_router_chain();
+    let fresh = || CountPlane {
+        seen: vec![(0, SimTime::ZERO); topo.graph.node_count()],
+    };
+    let seq = Net::assemble(
+        &topo,
+        Links::build(&topo),
+        fresh(),
+        Rng::seed_from_u64(9),
+        config(),
+    );
+    let (seq_plane, _, seq_report) = seq.run();
+    assert_eq!(
+        seq_report.deliveries,
+        6 * REQUESTS as u64,
+        "three hops each way"
+    );
+    assert!(seq_report.peak_pit_records() > 0, "sweeps saw the traffic");
+
+    for k in [1, 2] {
+        let horizon = SimTime::ZERO + config().duration;
+        let run = run_plane_sharded(topo.clone(), k, false, horizon, false, |spec| {
+            Net::assemble_sharded(
+                &topo,
+                Links::build(&topo),
+                fresh(),
+                Rng::seed_from_u64(9),
+                config(),
+                NoopObserver,
+                spec,
+            )
+        })
+        .expect("two routers split into two shards");
+        assert_eq!(run.planes.len(), k);
+        assert_eq!(run.stats.edge_cut > 0, k > 1, "K={k}: the chain is cut");
+        assert_eq!(run.planes[0], seq_plane, "K={k}: stitched node state");
+        // The queue high-water mark is per engine; everything else merges
+        // to the sequential totals exactly.
+        let mut merged = run.transport;
+        merged.peak_queue_depth = seq_report.peak_queue_depth;
+        assert_eq!(merged, seq_report, "K={k}: merged transport report");
+        assert_eq!(run.stats.per_shard_peak_pit.len(), k);
+    }
 }

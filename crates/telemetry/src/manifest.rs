@@ -8,7 +8,7 @@
 use crate::json::JsonObject;
 
 /// Everything needed to reproduce (and sanity-check) one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunManifest {
     /// The grid-cell label (experiment-chosen, e.g. `"fig7"`).
     pub label: String,
