@@ -24,9 +24,11 @@
 //! a dedicated stream forked off [`ATTACK_STREAM`] so an inactive plan
 //! leaves the run byte-identical to its golden snapshot.
 
+use std::sync::Arc;
+
 use tactic_ndn::packet::Interest;
 use tactic_net::attack::TICK;
-use tactic_net::{AttackClass, AttackDriver, Catalog};
+use tactic_net::{AttackClass, AttackDriver, Catalog, CatalogEntry};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::SimTime;
 
@@ -44,7 +46,7 @@ pub struct BaselineAdversary {
     intensity: u32,
     lifetime_ms: u32,
     rng: Rng,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     /// Append the per-principal session component (provider-auth
     /// mechanisms key their auth on it).
     per_session: bool,
@@ -69,18 +71,16 @@ impl BaselineAdversary {
     ///
     /// # Panics
     ///
-    /// Panics on [`AttackClass::Churn`] (scheduled by the transport) or
-    /// an empty catalog.
+    /// Panics on [`AttackClass::Churn`] (scheduled by the transport).
     pub fn new(
         class: AttackClass,
         principal: u64,
         intensity: u32,
         lifetime_ms: u32,
         rng: Rng,
-        catalog: Catalog,
+        catalog: Arc<Catalog>,
         per_session: bool,
     ) -> BaselineAdversary {
-        assert!(!catalog.is_empty(), "adversary needs a catalog");
         let breadth = match class {
             AttackClass::BfPollution => Some(0),
             AttackClass::Churn => unreachable!("churn is scheduled by the transport"),
@@ -119,23 +119,27 @@ impl BaselineAdversary {
                 // so short bursts already maximize name diversity.
                 let c = *cursor;
                 *cursor += 1;
-                let provs = self.catalog.len() as u64;
+                let provs = self.catalog.entries().len() as u64;
                 let prov = (c % provs) as usize;
-                let (_, objects, chunks) = self.catalog[prov];
+                let CatalogEntry {
+                    objects, chunks, ..
+                } = self.catalog.entries()[prov];
                 let obj = ((c / provs) % objects as u64) as usize;
                 let chunk = ((c / (provs * objects as u64)) % chunks as u64) as usize;
                 (prov, obj, chunk)
             }
             None => {
-                let prov = (self.rng.next_u64() % self.catalog.len() as u64) as usize;
-                let (_, objects, chunks) = self.catalog[prov];
+                let prov = (self.rng.next_u64() % self.catalog.entries().len() as u64) as usize;
+                let CatalogEntry {
+                    objects, chunks, ..
+                } = self.catalog.entries()[prov];
                 let obj = (self.rng.next_u64() % objects as u64) as usize;
                 let chunk = (self.rng.next_u64() % chunks as u64) as usize;
                 (prov, obj, chunk)
             }
         };
-        let mut name = self.catalog[prov]
-            .0
+        let mut name = self.catalog.entries()[prov]
+            .prefix
             .child(format!("obj{obj}"))
             .child(format!("c{chunk}"));
         if self.per_session {
@@ -153,11 +157,13 @@ impl BaselineAdversary {
 mod tests {
     use super::*;
 
-    fn catalog() -> Catalog {
-        vec![
-            ("/prov0".parse().unwrap(), 10, 10),
-            ("/prov1".parse().unwrap(), 10, 10),
-        ]
+    fn catalog() -> Arc<Catalog> {
+        let entry = |prefix: &str| CatalogEntry {
+            prefix: prefix.parse().unwrap(),
+            objects: 10,
+            chunks: 10,
+        };
+        Arc::new(Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7))
     }
 
     fn driver(class: AttackClass, intensity: u32) -> BaselineAdversary {

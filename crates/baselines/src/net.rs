@@ -14,6 +14,7 @@
 //! network yields a different graph per plane.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use tactic::scenario::{Assembly, Scenario};
 use tactic_ndn::face::FaceId;
@@ -21,9 +22,9 @@ use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tabl
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{fan_out, Packet};
 use tactic_net::{
-    emit_requests, populate_fib, provider_prefix, ApRelay, AttackFleet, Catalog, Emit, Net,
-    NetObserver, NodePlane, NoopObserver, PlaneCtx, RequesterConfig, ShardSpec, ShardablePlane,
-    ShardedStats, SweepGauges, TransportReport, ZipfRequester, ATTACK_STREAM,
+    emit_requests, populate_fib, provider_prefix, ApRelay, AttackFleet, Catalog, CatalogEntry,
+    Emit, Net, NetObserver, NodePlane, NoopObserver, PlaneCtx, RequesterConfig, ShardSpec,
+    ShardablePlane, ShardedStats, SweepGauges, TransportReport, ZipfRequester, ATTACK_STREAM,
 };
 use tactic_sim::stats::{ratio, TimeSeries};
 use tactic_sim::time::{SimDuration, SimTime};
@@ -469,17 +470,17 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
         let Assembly { rng, topo, links } = &asm;
         let n = topo.graph.node_count();
 
-        let catalog: Catalog = (0..topo.providers.len())
-            .map(|i| {
-                (
-                    provider_prefix(i),
-                    scenario.objects_per_provider,
-                    scenario.chunks_per_object,
-                )
+        let entries = (0..topo.providers.len())
+            .map(|i| CatalogEntry {
+                prefix: provider_prefix(i),
+                objects: scenario.objects_per_provider,
+                chunks: scenario.chunks_per_object,
             })
             .collect();
+        let catalog = Arc::new(Catalog::new(entries, scenario.zipf_alpha));
 
-        let clients: HashSet<u64> = topo.clients.iter().map(|c| c.index() as u64).collect();
+        let clients: Arc<HashSet<u64>> =
+            Arc::new(topo.clients.iter().map(|c| c.index() as u64).collect());
 
         // Routers: disable caching entirely for provider-auth (protected
         // content must reach the provider).
@@ -499,14 +500,14 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
                     Node::Router(tables)
                 }
                 Role::Provider => {
-                    let (prefix, objects, chunks) = catalog[provider_idx].clone();
+                    let entry = &catalog.entries()[provider_idx];
                     provider_idx += 1;
                     Node::Provider(BaselineProvider::new(
-                        prefix,
-                        objects,
-                        chunks,
+                        entry.prefix.clone(),
+                        entry.objects,
+                        entry.chunks,
                         scenario.chunk_size,
-                        clients.clone(),
+                        Arc::clone(&clients),
                     ))
                 }
                 Role::Client | Role::Attacker => Node::Requester(Box::new(ZipfRequester::new(
@@ -515,11 +516,10 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
                         is_client: topo.graph.role(node) == Role::Client,
                         window: scenario.window,
                         timeout: scenario.request_timeout,
-                        zipf_alpha: scenario.zipf_alpha,
                         per_session_names: mechanism.per_request_provider_auth(),
                         retransmit: scenario.retransmit,
                     },
-                    catalog.clone(),
+                    Arc::clone(&catalog),
                     rng.fork(0x200 + node.index() as u64),
                 ))),
                 Role::AccessPoint => Node::Ap(
@@ -548,7 +548,7 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
                     scenario.attack.intensity,
                     lifetime_ms,
                     rng.fork(ATTACK_STREAM ^ principal),
-                    catalog.clone(),
+                    Arc::clone(&catalog),
                     mechanism.per_request_provider_auth(),
                 ));
             }

@@ -3,6 +3,7 @@
 //! provider-auth mechanism).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Payload};
@@ -18,7 +19,8 @@ pub struct BaselineProvider {
     objects: usize,
     chunks: usize,
     chunk_size: usize,
-    authorized: HashSet<u64>,
+    /// Read-only, so one set serves every provider of a network.
+    authorized: Arc<HashSet<u64>>,
     /// Content requests this provider answered (or vetted).
     pub handled: u64,
     /// Per-request authentications performed.
@@ -33,7 +35,7 @@ impl BaselineProvider {
         objects: usize,
         chunks: usize,
         chunk_size: usize,
-        authorized: HashSet<u64>,
+        authorized: Arc<HashSet<u64>>,
     ) -> Self {
         BaselineProvider {
             prefix,
@@ -116,7 +118,7 @@ mod tests {
             4,
             2,
             512,
-            [10u64].into_iter().collect(),
+            Arc::new([10u64].into_iter().collect()),
         )
     }
 

@@ -20,13 +20,12 @@ use std::sync::Arc;
 use tactic_crypto::schnorr::Signature;
 use tactic_ndn::packet::Interest;
 use tactic_net::attack::TICK;
-use tactic_net::{AttackClass, AttackDriver};
+use tactic_net::{AttackClass, AttackDriver, Catalog};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::SimTime;
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
-use crate::consumer::CatalogEntry;
 use crate::ext;
 use crate::tag::{SignedTag, Tag};
 
@@ -61,7 +60,7 @@ pub struct AdversaryDriver {
     intensity: u32,
     lifetime_ms: u32,
     rng: Rng,
-    catalog: Vec<CatalogEntry>,
+    catalog: Arc<Catalog>,
     credential: Credential,
     nonce_seq: u64,
     acc_ns: u64,
@@ -86,21 +85,24 @@ impl AdversaryDriver {
     ///
     /// # Panics
     ///
-    /// Panics on [`AttackClass::Churn`], an empty catalog, or a
-    /// credential list that does not cover the catalog.
+    /// Panics on [`AttackClass::Churn`] or a credential list that does
+    /// not cover the catalog.
     pub fn new(
         class: AttackClass,
         principal: u64,
         intensity: u32,
         lifetime_ms: u32,
         rng: Rng,
-        catalog: Vec<CatalogEntry>,
+        catalog: Arc<Catalog>,
         issued: Vec<(usize, Arc<SignedTag>)>,
     ) -> AdversaryDriver {
-        assert!(!catalog.is_empty(), "adversary needs a catalog");
         let credential = match class {
             AttackClass::Flood | AttackClass::ReplayExpired => {
-                assert_eq!(issued.len(), catalog.len(), "one tag per provider");
+                assert_eq!(
+                    issued.len(),
+                    catalog.entries().len(),
+                    "one tag per provider"
+                );
                 let mut per_prov = issued;
                 per_prov.sort_by_key(|(p, _)| *p);
                 Credential::PerProvider(per_prov.into_iter().map(|(_, t)| t).collect())
@@ -159,9 +161,9 @@ impl AdversaryDriver {
         };
         let prov = match &pooled {
             Some((p, _)) => *p,
-            None => (self.rng.next_u64() % self.catalog.len() as u64) as usize,
+            None => (self.rng.next_u64() % self.catalog.entries().len() as u64) as usize,
         };
-        let entry = self.catalog[prov].clone();
+        let entry = self.catalog.entries()[prov].clone();
         let obj = (self.rng.next_u64() % entry.objects as u64) as usize;
         let chunk = (self.rng.next_u64() % entry.chunks as u64) as usize;
         let name = entry
@@ -201,19 +203,13 @@ impl AdversaryDriver {
 mod tests {
     use super::*;
 
-    fn catalog() -> Vec<CatalogEntry> {
-        vec![
-            CatalogEntry {
-                prefix: "/prov0".parse().unwrap(),
-                objects: 10,
-                chunks: 10,
-            },
-            CatalogEntry {
-                prefix: "/prov1".parse().unwrap(),
-                objects: 10,
-                chunks: 10,
-            },
-        ]
+    fn catalog() -> Arc<Catalog> {
+        let entry = |prefix: &str| tactic_net::CatalogEntry {
+            prefix: prefix.parse().unwrap(),
+            objects: 10,
+            chunks: 10,
+        };
+        Arc::new(Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7))
     }
 
     fn forge_driver(intensity: u32) -> AdversaryDriver {

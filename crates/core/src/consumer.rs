@@ -18,7 +18,7 @@ use tactic_crypto::schnorr::Signature;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack};
 use tactic_net::fault::RetransmitPolicy;
-use tactic_sim::dist::Zipf;
+use tactic_net::Catalog;
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 
@@ -28,16 +28,7 @@ use crate::ext;
 use crate::provider::registration_interest;
 use crate::tag::{SignedTag, Tag};
 
-/// One provider's catalog as seen by consumers.
-#[derive(Debug, Clone)]
-pub struct CatalogEntry {
-    /// The provider's prefix.
-    pub prefix: Name,
-    /// Objects in the catalog.
-    pub objects: usize,
-    /// Chunks per object.
-    pub chunks: usize,
-}
+pub use tactic_net::CatalogEntry;
 
 /// The attacker strategies of the threat model (§3.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,7 +132,9 @@ pub struct ConsumerConfig {
     pub window: usize,
     /// Request expiry (paper: 1 s).
     pub request_timeout: SimDuration,
-    /// Zipf exponent over the global object population (paper: 0.7).
+    /// Zipf exponent over the global object population (paper: 0.7;
+    /// must match the catalog's when it is shared, see
+    /// [`Consumer::with_catalog`]).
     pub zipf_alpha: f64,
     /// Proactive tag-refresh margin: a tag within this much of expiry is
     /// treated as stale so in-flight requests don't cross the expiry and
@@ -165,8 +158,7 @@ struct RenewalState {
 /// A windowed consumer (client or attacker).
 pub struct Consumer {
     config: ConsumerConfig,
-    catalog: Vec<CatalogEntry>,
-    zipf: Zipf,
+    catalog: Arc<Catalog>,
     rng: Rng,
     renewal: Option<RenewalState>,
     tags: HashMap<usize, Arc<SignedTag>>,
@@ -191,20 +183,35 @@ impl std::fmt::Debug for Consumer {
 }
 
 impl Consumer {
-    /// Creates a consumer over the given catalogs.
+    /// Creates a consumer over a catalog of its own. Convenient for one
+    /// consumer; a network shares one catalog through
+    /// [`Self::with_catalog`].
     ///
     /// # Panics
     ///
     /// Panics if the catalog is empty or the window is zero.
     pub fn new(config: ConsumerConfig, catalog: Vec<CatalogEntry>, rng: Rng) -> Self {
-        assert!(!catalog.is_empty(), "consumer needs a catalog");
+        let catalog = Arc::new(Catalog::new(catalog, config.zipf_alpha));
+        Self::with_catalog(config, catalog, rng)
+    }
+
+    /// Creates a consumer over a shared `catalog`, drawing from its own
+    /// `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is zero or the catalog's skew differs from
+    /// `config.zipf_alpha`.
+    pub fn with_catalog(config: ConsumerConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
         assert!(config.window > 0, "window must be positive");
-        let total_objects: usize = catalog.iter().map(|c| c.objects).sum();
-        let zipf = Zipf::new(total_objects, config.zipf_alpha);
+        assert_eq!(
+            catalog.zipf_alpha(),
+            config.zipf_alpha,
+            "shared catalog has another skew"
+        );
         Consumer {
             config,
             catalog,
-            zipf,
             rng,
             renewal: None,
             tags: HashMap::new(),
@@ -271,29 +278,17 @@ impl Consumer {
         (self.config.principal << 24) ^ self.nonce_seq
     }
 
-    /// Maps a global Zipf rank to `(provider, object)`.
-    fn locate(&self, mut rank: usize) -> (usize, usize) {
-        for (i, c) in self.catalog.iter().enumerate() {
-            if rank < c.objects {
-                return (i, rank);
-            }
-            rank -= c.objects;
-        }
-        unreachable!("rank within total objects");
-    }
-
     fn next_work(&mut self) -> (usize, usize, usize) {
         if let Some(w) = self.retry.pop_front() {
             return w;
         }
         match self.current {
-            Some((p, o, c)) if c < self.catalog[p].chunks => {
+            Some((p, o, c)) if c < self.catalog.entries()[p].chunks => {
                 self.current = Some((p, o, c + 1));
                 (p, o, c)
             }
             _ => {
-                let rank = self.zipf.sample(&mut self.rng);
-                let (p, o) = self.locate(rank);
+                let (p, o) = self.catalog.draw(&mut self.rng);
                 self.current = Some((p, o, 1));
                 (p, o, 0)
             }
@@ -327,7 +322,7 @@ impl Consumer {
                     return TagChoice::Use(t.clone());
                 }
                 // Fabricate: correct public naming, forged signature.
-                let prefix = self.catalog[prov].prefix.clone();
+                let prefix = self.catalog.entries()[prov].prefix.clone();
                 let fake = Arc::new(SignedTag::new(
                     Tag {
                         provider_key_locator: prefix.child("KEY").child("1"),
@@ -371,7 +366,7 @@ impl Consumer {
                     self.reg_seq += 1;
                     let nonce = self.next_nonce();
                     let i = registration_interest(
-                        &self.catalog[prov].prefix,
+                        &self.catalog.entries()[prov].prefix,
                         self.config.principal,
                         self.reg_seq,
                         nonce,
@@ -389,7 +384,7 @@ impl Consumer {
                     break; // Window blocked until the tag arrives.
                 }
                 choice => {
-                    let name = self.catalog[prov]
+                    let name = self.catalog.entries()[prov]
                         .prefix
                         .child(format!("obj{obj}"))
                         .child(format!("c{chunk}"));
@@ -635,6 +630,54 @@ mod tests {
         let mut d = Data::new(name.clone(), Payload::Synthetic(100));
         ext::set_data_new_tag(&mut d, tag);
         d
+    }
+
+    /// Expires every request as it goes out, for `rounds` rounds, and
+    /// returns the names requested: each expiry frees a window slot that
+    /// the next popularity draw refills.
+    fn expire_all(c: &mut Consumer, rounds: u64) -> Vec<Name> {
+        let mut names = Vec::new();
+        let mut sends: Vec<(Interest, SimTime)> = c
+            .fill(SimTime::ZERO)
+            .into_iter()
+            .map(|i| (i, SimTime::ZERO))
+            .collect();
+        for round in 1..=rounds {
+            let now = SimTime::from_secs(round);
+            let mut next = Vec::new();
+            for (i, sent) in sends {
+                next.extend(
+                    c.on_timeout(i.name(), sent, now)
+                        .into_iter()
+                        .map(|i| (i, now)),
+                );
+                names.push(i.name().clone());
+            }
+            sends = next;
+        }
+        names
+    }
+
+    #[test]
+    fn a_shared_catalog_draws_what_a_private_one_draws() {
+        let config = |principal| ConsumerConfig {
+            principal,
+            kind: ConsumerKind::Attacker(AttackerStrategy::NoTag),
+            window: 5,
+            request_timeout: SimDuration::from_secs(1),
+            zipf_alpha: 0.7,
+            refresh_margin: SimDuration::ZERO,
+            retransmit: None,
+        };
+        let shared = Arc::new(Catalog::new(catalog(), 0.7));
+        for principal in [3, 7] {
+            let rng = Rng::seed_from_u64(principal);
+            let mut private = Consumer::new(config(principal), catalog(), rng.clone());
+            let mut sharing = Consumer::with_catalog(config(principal), Arc::clone(&shared), rng);
+            let drawn = expire_all(&mut private, 20);
+            assert_eq!(drawn.len(), 100);
+            assert_eq!(drawn, expire_all(&mut sharing, 20), "principal {principal}");
+        }
     }
 
     #[test]
@@ -893,7 +936,7 @@ mod tests {
         let mut a = client(ConsumerKind::Attacker(AttackerStrategy::NoTag));
         let mut first_obj = 0u32;
         for _ in 0..400 {
-            let (p, o) = a.locate(a.zipf.sample(&mut a.rng.clone()));
+            let (p, o) = a.catalog.draw(&mut a.rng.clone());
             a.rng.next_u64(); // decorrelate
             if p == 0 && o == 0 {
                 first_obj += 1;

@@ -8,7 +8,6 @@
 //! mobility/handover model; this module supplies only what is
 //! TACTIC-specific.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tactic_crypto::cert::{CertStore, Certificate};
@@ -17,9 +16,9 @@ use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::Packet;
 use tactic_net::{
-    emit_requests, populate_fib, provider_prefix, ApRelay, AttackClass, AttackFleet, Emit, Net,
-    NetObserver, NodePlane, NoopObserver, PlaneCtx, ShardSpec, ShardablePlane, ShardedStats,
-    SweepGauges, TransportReport, ATTACK_STREAM,
+    emit_requests, populate_fib, provider_prefix, ApRelay, AttackClass, AttackFleet, Catalog,
+    CatalogEntry, Emit, Net, NetObserver, NodePlane, NoopObserver, PlaneCtx, ShardSpec,
+    ShardablePlane, ShardedStats, SweepGauges, TransportReport, ATTACK_STREAM,
 };
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
@@ -31,10 +30,10 @@ use tactic_topology::shard::ShardError;
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::adversary::{self, AdversaryDriver};
-use crate::consumer::{AttackerStrategy, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind};
+use crate::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
 use crate::ext;
 use crate::metrics::RunReport;
-use crate::provider::{Provider, ProviderConfig};
+use crate::provider::{Grant, GrantTable, Provider, ProviderConfig};
 use crate::router::{RouterConfig, RouterRole, TacticRouter};
 use crate::scenario::{Assembly, Scenario, TagLifetimePolicy};
 
@@ -401,16 +400,49 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         let asm = scenario.assembly(seed, RNG_SALT);
         let Assembly { rng, topo, links } = &asm;
         let n = topo.graph.node_count();
+        // Every node's state, staged by node id until all are built.
+        let mut staged: Vec<Option<NodeState>> = (0..n).map(|_| None).collect();
+
+        let user_list: Vec<(NodeId, ConsumerKind)> = topo
+            .clients
+            .iter()
+            .map(|&c| (c, ConsumerKind::Client))
+            .chain(topo.attackers.iter().enumerate().map(|(i, &a)| {
+                let strat = scenario.attacker_mix[i % scenario.attacker_mix.len()];
+                (a, ConsumerKind::Attacker(strat))
+            }))
+            .collect();
+
+        // One registry for every provider: clients at their level, and
+        // "freemium" principals (registered, bottom level).
+        let grants: GrantTable = user_list
+            .iter()
+            .filter_map(|&(unode, kind)| {
+                let level = match kind {
+                    ConsumerKind::Client => scenario.client_level,
+                    ConsumerKind::Attacker(AttackerStrategy::InsufficientLevel) => {
+                        AccessLevel::Public
+                    }
+                    ConsumerKind::Attacker(_) => return None,
+                };
+                let grant = Grant {
+                    level,
+                    revoked: false,
+                };
+                Some((unode.index() as u64, grant))
+            })
+            .collect();
+        let grants = Arc::new(grants);
 
         // PKI: one ISP trust anchor; every provider certified.
         let anchor = KeyPair::derive(b"isp-trust-anchor", seed);
         let mut certs = CertStore::new();
         certs.add_anchor(anchor.public());
 
-        // Providers.
-        let mut providers: HashMap<usize, Provider> = HashMap::new();
-        let mut catalog: Vec<CatalogEntry> = Vec::new();
-        for (i, &pnode) in topo.providers.iter().enumerate() {
+        // Providers, indexed like `topo.providers`.
+        let mut providers: Vec<Provider> = Vec::with_capacity(topo.providers.len());
+        let mut entries: Vec<CatalogEntry> = Vec::with_capacity(topo.providers.len());
+        for i in 0..topo.providers.len() {
             let prefix = provider_prefix(i);
             let config = ProviderConfig {
                 prefix: prefix.clone(),
@@ -420,7 +452,7 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                 tag_validity: scenario.effective_tag_validity(),
                 access_levels: scenario.content_levels.clone(),
             };
-            let provider = Provider::new(config);
+            let provider = Provider::with_grants(config, Arc::clone(&grants));
             certs
                 .register(Certificate::issue(
                     prefix.to_string(),
@@ -428,20 +460,21 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                     &anchor,
                 ))
                 .expect("anchor-signed cert");
-            catalog.push(CatalogEntry {
+            entries.push(CatalogEntry {
                 prefix,
                 objects: scenario.objects_per_provider,
                 chunks: scenario.chunks_per_object,
             });
-            providers.insert(pnode.index(), provider);
+            providers.push(provider);
         }
+        let catalog = Arc::new(Catalog::new(entries, scenario.zipf_alpha));
+        let certs = Arc::new(certs);
 
         // Routers.
         let mut edge_router_set = vec![false; n];
         for &e in &topo.edge_routers {
             edge_router_set[e.index()] = true;
         }
-        let mut routers: HashMap<usize, TacticRouter> = HashMap::new();
         for rnode in topo.routers() {
             let role = if edge_router_set[rnode.index()] {
                 RouterRole::Edge
@@ -460,34 +493,24 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                 record_sightings: scenario.record_sightings,
                 pit_capacity: scenario.defense.pit_capacity,
             };
-            let mut router = TacticRouter::new(config, certs.clone());
+            let mut router = TacticRouter::new(config, Arc::clone(&certs));
             for (face_idx, &(peer, _)) in links.neighbors[rnode.index()].iter().enumerate() {
                 if topo.graph.role(peer) == Role::AccessPoint {
                     router.mark_downstream(FaceId::new(face_idx as u32));
                 }
             }
-            routers.insert(rnode.index(), router);
+            staged[rnode.index()] = Some(NodeState::Router(Box::new(router)));
         }
 
         // Routing: one Dijkstra per provider, FIB entries at every router.
         populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
-            routers
-                .get_mut(&rnode.index())
-                .expect("router")
-                .add_route(prefix, face, cost_us);
+            let Some(NodeState::Router(r)) = &mut staged[rnode.index()] else {
+                unreachable!("FIB entries go to routers");
+            };
+            r.add_route(prefix, face, cost_us);
         });
 
         // Consumers.
-        let mut consumers: HashMap<usize, Consumer> = HashMap::new();
-        let user_list: Vec<(NodeId, ConsumerKind)> = topo
-            .clients
-            .iter()
-            .map(|&c| (c, ConsumerKind::Client))
-            .chain(topo.attackers.iter().enumerate().map(|(i, &a)| {
-                let strat = scenario.attacker_mix[i % scenario.attacker_mix.len()];
-                (a, ConsumerKind::Attacker(strat))
-            }))
-            .collect();
         for &(unode, kind) in &user_list {
             let principal = unode.index() as u64;
             let config = ConsumerConfig {
@@ -499,7 +522,8 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                 refresh_margin: scenario.tag_refresh_margin,
                 retransmit: scenario.retransmit,
             };
-            let mut consumer = Consumer::new(config, catalog.clone(), rng.fork(0x100 + principal));
+            let mut consumer =
+                Consumer::with_catalog(config, Arc::clone(&catalog), rng.fork(0x100 + principal));
             if let TagLifetimePolicy::Churn { lead, jitter, .. } = scenario.lifetime {
                 if kind == ConsumerKind::Client {
                     consumer.enable_renewal(lead, jitter, rng.fork(LIFECYCLE_STREAM ^ principal));
@@ -508,21 +532,9 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
             let own_ap = topo.access_point_of(unode);
             let own_path = AccessPath::of([own_ap.0 as u64]);
             match kind {
-                ConsumerKind::Client => {
-                    for p in providers.values_mut() {
-                        p.grant(principal, scenario.client_level);
-                    }
-                }
-                ConsumerKind::Attacker(AttackerStrategy::InsufficientLevel) => {
-                    // A "freemium" principal: registered, bottom level.
-                    for p in providers.values_mut() {
-                        p.grant(principal, AccessLevel::Public);
-                    }
-                }
                 ConsumerKind::Attacker(AttackerStrategy::ExpiredTag) => {
                     // A revoked client clinging to a once-genuine tag.
-                    for (idx, &pnode) in topo.providers.iter().enumerate() {
-                        let p = providers.get_mut(&pnode.index()).expect("provider");
+                    for (idx, p) in providers.iter_mut().enumerate() {
                         let tag = p.issue_tag(
                             principal,
                             scenario.client_level,
@@ -558,8 +570,7 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                         // a fabricated absent principal.
                         None => (principal ^ 0xDEAD, AccessPath::EMPTY),
                     };
-                    for (idx, &pnode) in topo.providers.iter().enumerate() {
-                        let p = providers.get_mut(&pnode.index()).expect("provider");
+                    for (idx, p) in providers.iter_mut().enumerate() {
                         let tag = p.issue_tag(
                             victim_principal,
                             scenario.client_level,
@@ -569,9 +580,9 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                         consumer.preset_tag(idx, tag);
                     }
                 }
-                ConsumerKind::Attacker(_) => {}
+                _ => {}
             }
-            consumers.insert(unode.index(), consumer);
+            staged[unode.index()] = Some(NodeState::Consumer(Box::new(consumer)));
         }
 
         // Adversarial fleet: an active plan repurposes every attacker
@@ -590,9 +601,9 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                     AccessPath::EMPTY
                 };
                 let mut issue = |prov_idx: usize, who: u64, expiry: SimTime| {
-                    let pnode = topo.providers[prov_idx];
-                    let p = providers.get_mut(&pnode.index()).expect("provider");
-                    Arc::new(p.issue_tag(who, scenario.client_level, path, expiry))
+                    let tag =
+                        providers[prov_idx].issue_tag(who, scenario.client_level, path, expiry);
+                    Arc::new(tag)
                 };
                 let horizon = SimTime::ZERO + scenario.duration;
                 let issued: Vec<(usize, Arc<crate::tag::SignedTag>)> = match class {
@@ -620,32 +631,28 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
                     scenario.attack.intensity,
                     lifetime_ms,
                     rng.fork(ATTACK_STREAM ^ principal),
-                    catalog.clone(),
+                    Arc::clone(&catalog),
                     issued,
                 ));
             }
         }
 
         // Assemble node states.
-        let mut nodes: Vec<NodeState> = Vec::with_capacity(n);
-        for node in topo.graph.nodes() {
-            let state = match topo.graph.role(node) {
-                Role::CoreRouter | Role::EdgeRouter => NodeState::Router(Box::new(
-                    routers.remove(&node.index()).expect("router built"),
-                )),
-                Role::Provider => NodeState::Provider(Box::new(
-                    providers.remove(&node.index()).expect("provider built"),
-                )),
-                Role::Client | Role::Attacker => NodeState::Consumer(Box::new(
-                    consumers.remove(&node.index()).expect("consumer built"),
-                )),
+        for (&pnode, provider) in topo.providers.iter().zip(providers) {
+            staged[pnode.index()] = Some(NodeState::Provider(Box::new(provider)));
+        }
+        let nodes: Vec<NodeState> = topo
+            .graph
+            .nodes()
+            .zip(staged)
+            .map(|(node, state)| match topo.graph.role(node) {
                 Role::AccessPoint => NodeState::Ap(
                     ApRelay::new(topo, links, node)
                         .expect("validated topology: AP wired to an edge router"),
                 ),
-            };
-            nodes.push(state);
-        }
+                _ => state.expect("every router, provider and user built"),
+            })
+            .collect();
 
         let plane = TacticPlane {
             nodes,

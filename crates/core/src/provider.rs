@@ -11,6 +11,7 @@
 //! fine-grained and flexible client revocation" (§5).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::name::Name;
@@ -72,6 +73,9 @@ pub struct Grant {
     pub revoked: bool,
 }
 
+/// Principals' standings by principal id: a provider's registry.
+pub type GrantTable = HashMap<u64, Grant>;
+
 /// Provider-side counters.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProviderCounters {
@@ -110,7 +114,9 @@ pub struct Provider {
     config: ProviderConfig,
     keypair: KeyPair,
     key_locator: Name,
-    registry: HashMap<u64, Grant>,
+    /// Shared by every provider of a network until one of them changes
+    /// it: [`Provider::grant`] and [`Provider::revoke`] copy on write.
+    registry: Arc<GrantTable>,
     /// Expiry of the most recent tag issued per principal via the
     /// registration procedure — the issuance authority's view of who
     /// currently holds a valid tag, used to classify re-issuances as
@@ -129,16 +135,24 @@ impl std::fmt::Debug for Provider {
 }
 
 impl Provider {
-    /// Creates a provider; the key pair is derived from the prefix so runs
-    /// are reproducible.
+    /// Creates a provider with an empty registry; the key pair is
+    /// derived from the prefix so runs are reproducible.
     pub fn new(config: ProviderConfig) -> Self {
+        Self::with_grants(config, Arc::default())
+    }
+
+    /// [`Self::new`] with `registry` as the initial registry. Providers
+    /// that start out with one table share it; a later
+    /// [`grant`](Self::grant) or [`revoke`](Self::revoke) copies it for
+    /// the provider that makes the change only.
+    pub fn with_grants(config: ProviderConfig, registry: Arc<GrantTable>) -> Self {
         let keypair = KeyPair::derive(config.prefix.to_string().as_bytes(), 0);
         let key_locator = config.prefix.child("KEY").child("1");
         Provider {
             config,
             keypair,
             key_locator,
-            registry: HashMap::new(),
+            registry,
             issued_until: HashMap::new(),
             counters: ProviderCounters::default(),
         }
@@ -166,7 +180,7 @@ impl Provider {
 
     /// Registers (or updates) a principal's entitlement.
     pub fn grant(&mut self, principal: u64, level: AccessLevel) {
-        self.registry.insert(
+        Arc::make_mut(&mut self.registry).insert(
             principal,
             Grant {
                 level,
@@ -177,7 +191,7 @@ impl Provider {
 
     /// Revokes a principal: no fresh tags; outstanding tags die at expiry.
     pub fn revoke(&mut self, principal: u64) {
-        if let Some(g) = self.registry.get_mut(&principal) {
+        if let Some(g) = Arc::make_mut(&mut self.registry).get_mut(&principal) {
             g.revoked = true;
         }
     }
@@ -531,6 +545,38 @@ mod tests {
             "ProviderCounters { tags_issued: 1, registrations_denied: 2, \
              chunks_served: 3, nacks: 4 }"
         );
+    }
+
+    #[test]
+    fn providers_sharing_a_registry_change_only_their_own() {
+        let level = AccessLevel::Level(2);
+        let shared: Arc<GrantTable> = Arc::new(
+            [(
+                7,
+                Grant {
+                    level,
+                    revoked: false,
+                },
+            )]
+            .into(),
+        );
+        let paper = |prefix: &str| ProviderConfig::paper(prefix.parse().unwrap());
+        let mut a = Provider::with_grants(paper("/a"), Arc::clone(&shared));
+        let mut b = Provider::with_grants(paper("/b"), Arc::clone(&shared));
+        a.revoke(7);
+        b.grant(8, AccessLevel::Public);
+        assert!(a.grant_of(7).is_some_and(|g| g.revoked));
+        assert_eq!(
+            b.grant_of(7),
+            Some(Grant {
+                level,
+                revoked: false
+            }),
+            "a revocation at one provider leaves the others' standing"
+        );
+        assert_eq!(a.grant_of(8), None, "a grant stays with its provider");
+        assert_eq!(shared.get(&7).map(|g| g.revoked), Some(false));
+        assert_eq!(shared.len(), 1, "the shared table itself never changes");
     }
 
     #[test]

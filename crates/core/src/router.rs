@@ -234,7 +234,8 @@ pub struct TacticRouter {
     config: RouterConfig,
     tables: Tables<TagNote>,
     cache: ValidationCache,
-    certs: CertStore,
+    /// Read-only, so one store serves every router of a network.
+    certs: Arc<CertStore>,
     counters: OpCounters,
     downstream: HashSet<FaceId>,
     requests_since_reset: u64,
@@ -296,8 +297,8 @@ enum ServeDecision {
 
 impl TacticRouter {
     /// Creates a router with the given configuration and provider-key
-    /// registry.
-    pub fn new(config: RouterConfig, certs: CertStore) -> Self {
+    /// registry (an owned store, or a network's shared one).
+    pub fn new(config: RouterConfig, certs: impl Into<Arc<CertStore>>) -> Self {
         let mut tables = Tables::new(config.cs_capacity);
         tables.pit.set_capacity(config.pit_capacity);
         TacticRouter {
@@ -305,7 +306,7 @@ impl TacticRouter {
             tables,
             seen_tags: config.track_revalidations.then(HashSet::new),
             config,
-            certs,
+            certs: certs.into(),
             counters: OpCounters::default(),
             downstream: HashSet::new(),
             requests_since_reset: 0,

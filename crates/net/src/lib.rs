@@ -138,6 +138,6 @@ pub use mobility::MobilityConfig;
 pub use observer::{DropReason, DropTotals, EventTrace, NetCounters, NetObserver, NoopObserver};
 pub use plane::{emit_requests, Emit, NodePlane, PlaneCtx, SweepGauges};
 pub use relay::ApRelay;
-pub use requester::{Catalog, RequesterConfig, ZipfRequester};
+pub use requester::{Catalog, CatalogEntry, RequesterConfig, ZipfRequester};
 pub use sharded::{run_plane_sharded, ShardablePlane, ShardedRun, ShardedStats};
 pub use transport::{KeyedEvent, Net, NetConfig, NetEvent, ShardSpec, TransportReport};

@@ -14,6 +14,7 @@
 //! their retries are counted as given up instead of silently abandoned.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest};
@@ -23,9 +24,68 @@ use tactic_sim::time::{SimDuration, SimTime};
 
 use crate::fault::RetransmitPolicy;
 
-/// The per-provider content catalog a requester walks:
-/// `(prefix, objects, chunks per object)`.
-pub type Catalog = Vec<(Name, usize, usize)>;
+/// One provider's slice of the content catalog.
+#[derive(Debug, Clone)]
+pub struct CatalogEntry {
+    /// The provider's prefix.
+    pub prefix: Name,
+    /// Objects in the catalog.
+    pub objects: usize,
+    /// Chunks per object.
+    pub chunks: usize,
+}
+
+/// A network's content catalog and the Zipf popularity over its global
+/// object ranking.
+///
+/// Every requester in a network walks the same catalog with the same
+/// skew, so a plane builds this once per network and hands each
+/// requester an `Arc` of it; only the RNG stream a requester draws from
+/// is its own.
+#[derive(Debug)]
+pub struct Catalog {
+    entries: Vec<CatalogEntry>,
+    zipf: Zipf,
+}
+
+impl Catalog {
+    /// The catalog over `entries` (provider order) with popularity skew
+    /// `zipf_alpha` over the concatenated object ranking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is empty or holds no object.
+    pub fn new(entries: Vec<CatalogEntry>, zipf_alpha: f64) -> Self {
+        assert!(!entries.is_empty(), "catalog needs a provider");
+        let total_objects = entries.iter().map(|c| c.objects).sum::<usize>();
+        Catalog {
+            zipf: Zipf::new(total_objects, zipf_alpha),
+            entries,
+        }
+    }
+
+    /// The per-provider entries, in provider order.
+    pub fn entries(&self) -> &[CatalogEntry] {
+        &self.entries
+    }
+
+    /// The popularity skew α.
+    pub fn zipf_alpha(&self) -> f64 {
+        self.zipf.alpha()
+    }
+
+    /// Draws one object by popularity: `(provider index, object)`.
+    pub fn draw(&self, rng: &mut Rng) -> (usize, usize) {
+        let mut rank = self.zipf.sample(rng);
+        for (i, c) in self.entries.iter().enumerate() {
+            if rank < c.objects {
+                return (i, rank);
+            }
+            rank -= c.objects;
+        }
+        unreachable!("a Zipf rank is below the total object count")
+    }
+}
 
 /// Static configuration for one [`ZipfRequester`].
 #[derive(Debug, Clone)]
@@ -39,8 +99,6 @@ pub struct RequesterConfig {
     pub window: usize,
     /// Request expiry (also stamped as the Interest lifetime).
     pub timeout: SimDuration,
-    /// Zipf skew over the global object ranking.
-    pub zipf_alpha: f64,
     /// Append a `/u<principal>` component so every request is
     /// per-session-unique (defeats caching; provider-auth baselines).
     pub per_session_names: bool,
@@ -81,9 +139,8 @@ pub struct ZipfRequester {
     pub is_client: bool,
     window: usize,
     timeout: SimDuration,
-    zipf: Zipf,
     rng: Rng,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     per_session_names: bool,
     retransmit: Option<RetransmitPolicy>,
     current: Option<(usize, usize, usize)>,
@@ -107,15 +164,14 @@ pub struct ZipfRequester {
 }
 
 impl ZipfRequester {
-    /// Creates a requester over `catalog` with its own RNG stream.
-    pub fn new(config: RequesterConfig, catalog: Catalog, rng: Rng) -> Self {
-        let total_objects = catalog.iter().map(|c| c.1).sum::<usize>();
+    /// Creates a requester over `catalog` (usually its network's shared
+    /// one) with its own RNG stream.
+    pub fn new(config: RequesterConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
         ZipfRequester {
             principal: config.principal,
             is_client: config.is_client,
             window: config.window,
             timeout: config.timeout,
-            zipf: Zipf::new(total_objects, config.zipf_alpha),
             rng,
             catalog,
             per_session_names: config.per_session_names,
@@ -135,8 +191,8 @@ impl ZipfRequester {
     }
 
     fn chunk_name(&self, prov: usize, obj: usize, chunk: usize) -> Name {
-        let base = self.catalog[prov]
-            .0
+        let base = self.catalog.entries()[prov]
+            .prefix
             .child(format!("obj{obj}"))
             .child(format!("c{chunk}"));
         if self.per_session_names {
@@ -151,22 +207,14 @@ impl ZipfRequester {
             return w;
         }
         match self.current {
-            Some((p, o, c)) if c < self.catalog[p].2 => {
+            Some((p, o, c)) if c < self.catalog.entries()[p].chunks => {
                 self.current = Some((p, o, c + 1));
                 (p, o, c)
             }
             _ => {
-                let mut rank = self.zipf.sample(&mut self.rng);
-                let mut prov = 0;
-                for (i, c) in self.catalog.iter().enumerate() {
-                    if rank < c.1 {
-                        prov = i;
-                        break;
-                    }
-                    rank -= c.1;
-                }
-                self.current = Some((prov, rank, 1));
-                (prov, rank, 0)
+                let (prov, obj) = self.catalog.draw(&mut self.rng);
+                self.current = Some((prov, obj, 1));
+                (prov, obj, 0)
             }
         }
     }
@@ -272,11 +320,17 @@ mod tests {
                 is_client: true,
                 window: 4,
                 timeout: SimDuration::from_secs(2),
-                zipf_alpha: 0.8,
                 per_session_names: per_session,
                 retransmit,
             },
-            vec![("/prov0".parse().unwrap(), 5, 3)],
+            Arc::new(Catalog::new(
+                vec![CatalogEntry {
+                    prefix: "/prov0".parse().unwrap(),
+                    objects: 5,
+                    chunks: 3,
+                }],
+                0.8,
+            )),
             Rng::seed_from_u64(1),
         )
     }
@@ -311,6 +365,63 @@ mod tests {
         // principal occupies bits the counter can never reach.
         assert_eq!(compose_nonce(3, 0) >> 40, 3);
         assert_eq!(compose_nonce(0, (1 << 40) - 1) >> 40, 0);
+    }
+
+    #[test]
+    fn a_shared_catalog_draws_what_a_private_one_draws() {
+        let entries = || {
+            ["/prov0", "/prov1", "/prov2"]
+                .map(|p| CatalogEntry {
+                    prefix: p.parse().unwrap(),
+                    objects: 7,
+                    chunks: 2,
+                })
+                .to_vec()
+        };
+        let config = |principal| RequesterConfig {
+            principal,
+            is_client: true,
+            window: 4,
+            timeout: SimDuration::from_secs(2),
+            per_session_names: false,
+            retransmit: None,
+        };
+        // Expire every request as it goes out; each expiry refills the
+        // window from a fresh popularity draw.
+        let expire_all = |r: &mut ZipfRequester| {
+            let mut names = Vec::new();
+            let mut sends: Vec<(Interest, SimTime)> = r
+                .fill(SimTime::ZERO)
+                .into_iter()
+                .map(|i| (i, SimTime::ZERO))
+                .collect();
+            for round in 1..=25 {
+                let now = SimTime::from_secs(round);
+                let mut next = Vec::new();
+                for (i, sent) in sends {
+                    next.extend(
+                        r.on_timeout(i.name(), sent, now)
+                            .into_iter()
+                            .map(|i| (i, now)),
+                    );
+                    names.push(i.name().clone());
+                }
+                sends = next;
+            }
+            names
+        };
+        // One catalog for both principals, as a network builds it,
+        // against a catalog of each requester's own.
+        let shared = Arc::new(Catalog::new(entries(), 0.8));
+        for principal in [3, 7] {
+            let rng = Rng::seed_from_u64(principal);
+            let own = Arc::new(Catalog::new(entries(), 0.8));
+            let mut private = ZipfRequester::new(config(principal), own, rng.clone());
+            let mut sharing = ZipfRequester::new(config(principal), Arc::clone(&shared), rng);
+            let drawn = expire_all(&mut private);
+            assert_eq!(drawn.len(), 100);
+            assert_eq!(drawn, expire_all(&mut sharing), "principal {principal}");
+        }
     }
 
     #[test]

@@ -139,3 +139,32 @@ fn checked_in_snapshots_are_unchanged_from_seed() {
         );
     }
 }
+
+/// A fleet-shaped network: many providers times many users, the regime in
+/// which per-network tables (catalog, popularity CDF, grant table,
+/// certificate store, routes) are shared by every node. `Scenario::small`
+/// has two providers and nine users, so only this snapshot pins set-up
+/// at a shape where a per-user or per-provider divergence would show.
+fn fleet_shape() -> Scenario {
+    let mut s = Scenario::small();
+    s.topology = tactic::scenario::TopologyChoice::Custom(tactic_topology::roles::TopologySpec {
+        core_routers: 36,
+        edge_routers: 12,
+        providers: 6,
+        clients: 1_140,
+        attackers: 60,
+    });
+    s.duration = SimDuration::from_millis(400);
+    s.objects_per_provider = 40;
+    s.chunks_per_object = 4;
+    s
+}
+
+#[test]
+fn fleet_shape_reports_are_byte_identical() {
+    let s = fleet_shape();
+    let r = run_scenario(&s, 7);
+    check("tactic_fleet_seed7.txt", &format!("{r:#?}\n"));
+    let r = run_baseline(&s, Mechanism::NoAccessControl, 7);
+    check("baseline_noac_fleet_seed7.txt", &format!("{r:#?}\n"));
+}
