@@ -175,7 +175,13 @@ pub fn data_access_level(d: &Data) -> AccessLevel {
 
 /// Sets the content's access level.
 pub fn set_data_access_level(d: &mut Data, al: AccessLevel) {
-    d.set_extension(EXT_ACCESS_LEVEL, vec![al.to_byte()]);
+    d.set_extension(EXT_ACCESS_LEVEL, access_level_value(al));
+}
+
+/// The [`EXT_ACCESS_LEVEL`] value encoding `al`, as a buffer packets can
+/// share.
+pub(crate) fn access_level_value(al: AccessLevel) -> Arc<[u8]> {
+    Arc::new([al.to_byte()])
 }
 
 /// The provider key locator embedded in the content (`Pub_p^D`).
@@ -186,7 +192,13 @@ pub fn data_key_locator(d: &Data) -> Option<tactic_ndn::name::Name> {
 
 /// Sets the provider key locator on content.
 pub fn set_data_key_locator(d: &mut Data, locator: &tactic_ndn::name::Name) {
-    d.set_extension(EXT_KEY_LOCATOR, locator.to_string().into_bytes());
+    d.set_extension(EXT_KEY_LOCATOR, key_locator_value(locator));
+}
+
+/// The [`EXT_KEY_LOCATOR`] value encoding `locator`, as a buffer packets
+/// can share.
+pub(crate) fn key_locator_value(locator: &tactic_ndn::name::Name) -> Arc<[u8]> {
+    locator.to_string().into_bytes().into()
 }
 
 /// Strips the per-delivery annotations (tag echo, flag, NACK) so a packet

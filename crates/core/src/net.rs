@@ -162,9 +162,15 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
             }
             NodeState::Provider(p) => {
                 let (replies, compute) = match &packet {
-                    Packet::Interest(i) => {
-                        p.handle_interest_observed(i, now, ctx.rng, ctx.cost, node_id, proto)
-                    }
+                    Packet::Interest(i) => p.handle_interest_observed(
+                        i,
+                        now,
+                        ctx.rng,
+                        ctx.cost,
+                        node_id,
+                        proto,
+                        &mut ctx.profiler.as_deref_mut(),
+                    ),
                     _ => (Vec::new(), SimDuration::ZERO),
                 };
                 for pkt in replies {

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tactic_crypto::schnorr::KeyPair;
+use tactic_crypto::schnorr::{KeyPair, Signature};
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, NackReason, Packet, Payload};
 use tactic_sim::cost::{CostModel, Op};
@@ -21,12 +21,13 @@ use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
     Hop, NodeRole, NoopProtocolObserver, PrecheckStage, PrecheckVerdict, ProtocolObserver,
-    RejectReason,
+    RejectReason, SpanProfiler,
 };
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::ext;
+use crate::router::timed;
 use crate::tag::{SignedTag, Tag};
 
 /// Provider/catalog parameters (the paper: 50 objects × 50 chunks each,
@@ -123,6 +124,16 @@ pub struct Provider {
     /// renewals. Pre-seeded scenario tags bypass this on purpose.
     issued_until: HashMap<u64, SimTime>,
     counters: ProviderCounters,
+    /// The signed [`ext::EXT_ACCESS_LEVEL`] value of each entry of
+    /// `config.access_levels`, shared by every chunk this provider serves.
+    level_values: Vec<Arc<[u8]>>,
+    /// The signed [`ext::EXT_KEY_LOCATOR`] value, shared likewise.
+    key_locator_value: Arc<[u8]>,
+    /// Each served chunk's signature by catalog index, made the first time
+    /// the chunk is requested: a chunk's signature depends only on this
+    /// provider's key and the chunk's name, access level, key locator and
+    /// length, so signing it again would reproduce it bit for bit.
+    signatures: HashMap<usize, Signature>,
 }
 
 impl std::fmt::Debug for Provider {
@@ -149,12 +160,19 @@ impl Provider {
         let keypair = KeyPair::derive(config.prefix.to_string().as_bytes(), 0);
         let key_locator = config.prefix.child("KEY").child("1");
         Provider {
+            level_values: config
+                .access_levels
+                .iter()
+                .map(|&al| ext::access_level_value(al))
+                .collect(),
+            key_locator_value: ext::key_locator_value(&key_locator),
             config,
             keypair,
             key_locator,
             registry,
             issued_until: HashMap::new(),
             counters: ProviderCounters::default(),
+            signatures: HashMap::new(),
         }
     }
 
@@ -232,18 +250,39 @@ impl Provider {
             .child(format!("{seq}"))
     }
 
-    /// Builds and signs the Data packet for a chunk. Content signatures
-    /// are produced offline in deployment, so no per-request cost is
-    /// charged.
+    /// Builds and signs the Data packet for a chunk: exactly the packet
+    /// the provider serves for it, before per-delivery annotations.
+    /// Content signatures are produced offline in deployment, so serving
+    /// charges no signing cost; the serve path signs each chunk once and
+    /// reuses the signature, while this method signs afresh on every call.
     pub fn build_chunk(&self, obj: usize, chunk: usize) -> Data {
+        let mut d = self.unsigned_chunk(obj, chunk);
+        d.set_signature(self.keypair.sign(&d.signable_bytes()));
+        d
+    }
+
+    /// [`Self::build_chunk`] with the chunk's signature made at most once.
+    fn served_chunk(&mut self, obj: usize, chunk: usize) -> Data {
+        let mut d = self.unsigned_chunk(obj, chunk);
+        let index = obj * self.config.chunks_per_object + chunk;
+        let keypair = &self.keypair;
+        let sig = *self
+            .signatures
+            .entry(index)
+            .or_insert_with(|| keypair.sign(&d.signable_bytes()));
+        d.set_signature(sig);
+        d
+    }
+
+    /// The chunk's Data packet with its signed fields set and no signature.
+    fn unsigned_chunk(&self, obj: usize, chunk: usize) -> Data {
         let mut d = Data::new(
             self.content_name(obj, chunk),
             Payload::Synthetic(self.config.chunk_size),
         );
-        ext::set_data_access_level(&mut d, self.object_level(obj));
-        ext::set_data_key_locator(&mut d, &self.key_locator);
-        let sig = self.keypair.sign(&d.signable_bytes());
-        d.set_signature(sig);
+        let level = &self.level_values[obj % self.level_values.len()];
+        d.set_extension(ext::EXT_ACCESS_LEVEL, Arc::clone(level));
+        d.set_extension(ext::EXT_KEY_LOCATOR, Arc::clone(&self.key_locator_value));
         d
     }
 
@@ -281,12 +320,37 @@ impl Provider {
         rng: &mut Rng,
         cost: &CostModel,
     ) -> (Vec<Packet>, SimDuration) {
-        self.handle_interest_observed(interest, now, rng, cost, 0, &mut NoopProtocolObserver)
+        self.handle_interest_observed(
+            interest,
+            now,
+            rng,
+            cost,
+            0,
+            &mut NoopProtocolObserver,
+            &mut None,
+        )
     }
 
     /// [`Self::handle_interest`] with protocol-decision hooks: `node` is
-    /// the provider's id in the topology, stamped onto every hook.
+    /// the provider's id in the topology, stamped onto every hook. `prof`
+    /// times the whole handler as the `provider` span when profiling.
+    #[allow(clippy::too_many_arguments)]
     pub fn handle_interest_observed<O: ProtocolObserver>(
+        &mut self,
+        interest: &Interest,
+        now: SimTime,
+        rng: &mut Rng,
+        cost: &CostModel,
+        node: u64,
+        obs: &mut O,
+        prof: &mut Option<&mut SpanProfiler>,
+    ) -> (Vec<Packet>, SimDuration) {
+        timed(prof, "provider", || {
+            self.respond(interest, now, rng, cost, node, obs)
+        })
+    }
+
+    fn respond<O: ProtocolObserver>(
         &mut self,
         interest: &Interest,
         now: SimTime,
@@ -306,7 +370,7 @@ impl Provider {
         let Some((obj, chunk)) = self.parse_content_name(interest.name()) else {
             return (Vec::new(), charge); // Not ours / outside catalog: drop.
         };
-        let data = self.build_chunk(obj, chunk);
+        let data = self.served_chunk(obj, chunk);
         let level = self.object_level(obj);
         if level.is_public() {
             self.counters.chunks_served += 1;
@@ -676,6 +740,81 @@ mod tests {
             .keypair()
             .public()
             .verify(&d.signable_bytes(), d.signature().unwrap()));
+    }
+
+    #[test]
+    fn served_chunks_equal_freshly_built_ones() {
+        let mut cfg = ProviderConfig::paper("/memo".parse().unwrap());
+        cfg.objects = 4;
+        cfg.chunks_per_object = 3;
+        cfg.access_levels = vec![AccessLevel::Level(1), AccessLevel::Public];
+        let mut p = Provider::new(cfg);
+        let (mut rng, cost) = free();
+        let valid = p.issue_tag(
+            7,
+            AccessLevel::Level(2),
+            AccessPath::EMPTY,
+            SimTime::from_secs(10),
+        );
+        let expired = p.issue_tag(7, AccessLevel::Level(2), AccessPath::EMPTY, SimTime::ZERO);
+        for obj in 0..4 {
+            for chunk in 0..3 {
+                for (tag, nacked) in [(&valid, false), (&expired, true)] {
+                    let mut i = Interest::new(p.content_name(obj, chunk), 1);
+                    ext::set_interest_tag(&mut i, tag);
+                    ext::set_interest_flag_f(&mut i, 0.25);
+                    let mut expected = p.build_chunk(obj, chunk);
+                    if !p.object_level(obj).is_public() {
+                        ext::set_data_tag(&mut expected, tag);
+                        ext::set_data_flag_f(&mut expected, 0.25);
+                        if nacked {
+                            ext::set_data_nack(&mut expected, NackReason::InvalidTag);
+                        }
+                    }
+                    for pass in ["first", "repeat"] {
+                        let (reply, _) =
+                            p.handle_interest(&i, SimTime::from_secs(1), &mut rng, &cost);
+                        assert_eq!(
+                            reply,
+                            vec![Packet::Data(expected.clone())],
+                            "{pass} serve of ({obj}, {chunk})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn providers_never_share_chunk_signatures() {
+        let mut cfg = ProviderConfig::paper("/shared".parse().unwrap());
+        cfg.objects = 2;
+        cfg.chunks_per_object = 2;
+        cfg.access_levels = vec![AccessLevel::Public];
+        let mut a = Provider::new(cfg.clone());
+        // Same catalog and names, a different key.
+        let mut b = Provider::new(cfg);
+        b.keypair = KeyPair::derive(b"/other-key", 0);
+        let (mut rng, cost) = free();
+        for obj in 0..2 {
+            for chunk in 0..2 {
+                let i = Interest::new(a.content_name(obj, chunk), 1);
+                let serve = |p: &mut Provider, rng: &mut Rng| {
+                    let (mut reply, _) = p.handle_interest(&i, SimTime::ZERO, rng, &cost);
+                    let Some(Packet::Data(d)) = reply.pop() else {
+                        panic!("expected Data")
+                    };
+                    d
+                };
+                let (da, db) = (serve(&mut a, &mut rng), serve(&mut b, &mut rng));
+                assert_eq!(da.signable_bytes(), db.signable_bytes());
+                assert_ne!(da.signature(), db.signature(), "({obj}, {chunk})");
+                let (ka, kb) = (a.keypair().public(), b.keypair().public());
+                assert!(ka.verify(&da.signable_bytes(), da.signature().unwrap()));
+                assert!(kb.verify(&db.signable_bytes(), db.signature().unwrap()));
+                assert!(!kb.verify(&da.signable_bytes(), da.signature().unwrap()));
+            }
+        }
     }
 
     #[test]

@@ -277,7 +277,11 @@ pub struct TagNote {
 /// no clock reads. Handlers thread `prof` by mutable reference so one
 /// packet's phases all land in the same profiler.
 #[inline]
-fn timed<T>(prof: &mut Option<&mut SpanProfiler>, name: &'static str, f: impl FnOnce() -> T) -> T {
+pub(crate) fn timed<T>(
+    prof: &mut Option<&mut SpanProfiler>,
+    name: &'static str,
+    f: impl FnOnce() -> T,
+) -> T {
     match prof {
         Some(p) => p.time(name, f),
         None => f(),
@@ -674,8 +678,8 @@ impl TacticRouter {
 
         // ── Content store: Protocol 3 if we hold the content ──
         if !registration {
-            if let Some(cached) = self.tables.cs.get(interest.name()) {
-                let cached = cached.clone();
+            let cached = timed(prof, "cs", || self.tables.cs.get(interest.name()).cloned());
+            if let Some(cached) = cached {
                 self.counters.cache_hits += 1;
                 obs.on_cache_hit(hop, interest.name());
                 let decision = self.serve_content(
@@ -904,9 +908,11 @@ impl TacticRouter {
 
         // Cache the canonical content (annotations stripped); the content
         // itself is genuine even when a NACK rides along.
-        let mut canonical = data.clone();
-        ext::strip_delivery_annotations(&mut canonical);
-        self.tables.cs.insert_at(canonical, now);
+        timed(prof, "cs", || {
+            let mut canonical = data.clone();
+            ext::strip_delivery_annotations(&mut canonical);
+            self.tables.cs.insert_at(canonical, now);
+        });
 
         // Replies are *decided* in PIT-record order (RNG draws, counters,
         // and observer calls all happen in the decision loop) and

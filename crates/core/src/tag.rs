@@ -68,12 +68,14 @@ impl Tag {
 
 /// A provider-signed tag as carried in Interests.
 ///
-/// Carries lazily-computed caches of its Bloom key and serialized form,
-/// so a shared (`Arc`ed, interned) tag pays for each derivation once. The
-/// caches are dropped by `clone()` and invisible to `==`/`Debug`. Mutating
-/// `tag`/`signature` *after* calling [`bloom_key`](Self::bloom_key) or
-/// [`encoded`](Self::encoded) on the same instance is unsupported — tests
-/// that forge tags must mutate a fresh clone before first use (all do).
+/// Carries lazily-computed caches of its Bloom key, client identity and
+/// serialized form, so a shared (`Arc`ed, interned) tag pays for each
+/// derivation once. The caches are dropped by `clone()` and ignored by
+/// `==`. Mutating `tag`/`signature` *after* calling
+/// [`bloom_key`](Self::bloom_key), [`client_identity`](Self::client_identity)
+/// or [`encoded`](Self::encoded) on the same instance is unsupported —
+/// tests that forge tags must mutate a fresh clone before first use (all
+/// do).
 #[derive(Debug)]
 pub struct SignedTag {
     /// The tag body.
@@ -81,6 +83,7 @@ pub struct SignedTag {
     /// The provider's signature over [`Tag::to_bytes`].
     pub signature: Signature,
     bloom_key: std::sync::OnceLock<[u8; 32]>,
+    client_identity: std::sync::OnceLock<u64>,
     encoded: std::sync::OnceLock<std::sync::Arc<[u8]>>,
 }
 
@@ -108,6 +111,7 @@ impl SignedTag {
             tag,
             signature,
             bloom_key: std::sync::OnceLock::new(),
+            client_identity: std::sync::OnceLock::new(),
             encoded: std::sync::OnceLock::new(),
         }
     }
@@ -141,9 +145,11 @@ impl SignedTag {
     /// The stable client identity of this tag: a digest of the client key
     /// locator. Stable across tag refreshes, so access points can
     /// demultiplex deliveries per requester and traitor tracing can link
-    /// sightings of the same principal.
+    /// sightings of the same principal. Computed once per instance.
     pub fn client_identity(&self) -> u64 {
-        Digest256::of(&self.tag.client_key_locator.to_bytes()).fold64()
+        *self
+            .client_identity
+            .get_or_init(|| Digest256::of(&self.tag.client_key_locator.to_bytes()).fold64())
     }
 
     /// Serialises tag + signature for the Interest extension / PIT note.

@@ -32,7 +32,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// SplitMix64-style finalizer: full-avalanche mixing of a 64-bit word.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -98,13 +98,38 @@ impl Hasher64 {
     }
 }
 
+/// The starting states of [`Digest256`]'s four lanes: each is a
+/// [`Hasher64::with_seed`] state under its own seed.
+const DIGEST_LANES: [u64; 4] = {
+    let mut lanes = [0u64; 4];
+    let mut i = 0;
+    while i < 4 {
+        let seed = 0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B);
+        lanes[i] = FNV_OFFSET ^ mix64(seed);
+        i += 1;
+    }
+    lanes
+};
+
 /// A 256-bit digest, exposed as four 64-bit lanes.
 ///
-/// Built from four independently-seeded [`Hasher64`] passes; used as the
+/// Each lane is an FNV-1a state under its own seed, finalized like
+/// [`Hasher64::finish`]; every input byte is absorbed into all four lanes
+/// in one pass, so the four multiply chains run side by side. Used as the
 /// message digest inside simulated signatures so that any single-byte
 /// change flips the digest with overwhelming probability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Digest256(pub [u64; 4]);
+
+/// Absorbs `bytes` into all four lanes at once.
+#[inline]
+fn absorb4(lanes: &mut [u64; 4], bytes: &[u8]) {
+    for &b in bytes {
+        for lane in lanes.iter_mut() {
+            *lane = (*lane ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
 
 impl Digest256 {
     /// Hashes a byte slice into a 256-bit digest.
@@ -121,32 +146,20 @@ impl Digest256 {
     /// assert_ne!(a, c);
     /// ```
     pub fn of(bytes: &[u8]) -> Self {
-        let mut lanes = [0u64; 4];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let mut h = Hasher64::with_seed(
-                0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B),
-            );
-            h.update(bytes);
-            *lane = h.finish();
-        }
-        Digest256(lanes)
+        let mut lanes = DIGEST_LANES;
+        absorb4(&mut lanes, bytes);
+        Digest256(lanes.map(mix64))
     }
 
     /// Hashes the concatenation of several byte slices (length-prefixed, so
     /// `["ab","c"]` and `["a","bc"]` differ).
     pub fn of_parts(parts: &[&[u8]]) -> Self {
-        let mut lanes = [0u64; 4];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let mut h = Hasher64::with_seed(
-                0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B),
-            );
-            for p in parts {
-                h.update_u64(p.len() as u64);
-                h.update(p);
-            }
-            *lane = h.finish();
+        let mut lanes = DIGEST_LANES;
+        for p in parts {
+            absorb4(&mut lanes, &(p.len() as u64).to_le_bytes());
+            absorb4(&mut lanes, p);
         }
-        Digest256(lanes)
+        Digest256(lanes.map(mix64))
     }
 
     /// Folds the digest into a single 64-bit word.
@@ -205,6 +218,75 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.finish(), mix64(fnv1a64(b"foobar")));
+    }
+
+    /// The four independently-seeded [`Hasher64`] passes the one-pass
+    /// digest replaced; with `prefixed` false it hashes `parts` without
+    /// length prefixes, like [`Digest256::of`].
+    fn four_pass_reference(parts: &[&[u8]], prefixed: bool) -> Digest256 {
+        let mut lanes = [0u64; 4];
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let mut h = Hasher64::with_seed(
+                0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B),
+            );
+            for p in parts {
+                if prefixed {
+                    h.update_u64(p.len() as u64);
+                }
+                h.update(p);
+            }
+            *lane = h.finish();
+        }
+        Digest256(lanes)
+    }
+
+    #[test]
+    fn one_pass_digest_matches_four_passes() {
+        let long: Vec<u8> = (0..1_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let inputs: [&[&[u8]]; 6] = [
+            &[],
+            &[b""],
+            &[b"content"],
+            &[&long],
+            &[b"ab", b"c"],
+            &[b"", b"r-bytes", &long, b"\x00\xff"],
+        ];
+        for parts in inputs {
+            assert_eq!(Digest256::of_parts(parts), four_pass_reference(parts, true));
+            let joined = parts.concat();
+            assert_eq!(
+                Digest256::of(&joined),
+                four_pass_reference(&[&joined], false)
+            );
+        }
+        // Pinned before the one-pass rewrite.
+        assert_eq!(
+            Digest256::of(b"").0,
+            [
+                0x9274_d802_ffa8_4101,
+                0x20c6_b4fa_78f8_edda,
+                0x2899_e0bd_39b0_8147,
+                0x1baa_b411_87bb_d4c5
+            ]
+        );
+        assert_eq!(
+            Digest256::of(b"content").0,
+            [
+                0x4a24_4f07_4882_ff81,
+                0x33c8_34ed_4e4f_2a0d,
+                0x796e_22be_4144_2fc3,
+                0x36a9_0596_2bbe_50c9
+            ]
+        );
+        assert_eq!(
+            Digest256::of_parts(&[b"ab", b"c"]).0,
+            [
+                0xa0f2_6cb7_c1df_d1b5,
+                0xf59a_fa51_9987_6a2e,
+                0x1e86_0d79_2f38_d4d5,
+                0x7da1_ba2f_6b3f_e1b8
+            ]
+        );
     }
 
     #[test]

@@ -30,16 +30,38 @@ pub const Q: u64 = P - 1;
 /// Generator of a large subgroup of ℤp*.
 pub const G: u64 = 3;
 
-/// `a * b mod P` without overflow.
+/// `a * b mod m` without overflow. Both operands must already be reduced
+/// below `m`; every caller in this module keeps them so.
 #[inline]
 fn mulmod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
+    if m == P {
+        mulmod_p(a, b)
+    } else {
+        ((a as u128 * b as u128) % m as u128) as u64
+    }
 }
 
-/// `base ^ exp mod P` by square-and-multiply.
+/// `a * b mod P` for `a, b < P`, folded instead of divided: `2⁶¹ ≡ 1
+/// (mod P)`, so the product's bits above 61 add onto its low 61 bits.
+/// The low half is at most `P` and the high half below it, so their sum is
+/// below `2P` and one conditional subtraction leaves the same residue the
+/// `u128 %` path returns.
+#[inline]
+fn mulmod_p(a: u64, b: u64) -> u64 {
+    debug_assert!(a < P && b < P, "operands must be reduced below P");
+    let product = a as u128 * b as u128;
+    let sum = (product as u64 & P) + (product >> 61) as u64;
+    if sum >= P {
+        sum - P
+    } else {
+        sum
+    }
+}
+
+/// `base ^ exp mod m` by square-and-multiply.
 #[inline]
 pub fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    let mut acc: u64 = 1;
+    let mut acc: u64 = 1 % m;
     base %= m;
     while exp > 0 {
         if exp & 1 == 1 {
@@ -249,8 +271,125 @@ mod tests {
         assert_eq!(powmod(2, 10, 1_000_000), 1024);
         assert_eq!(powmod(3, 0, 7), 1);
         assert_eq!(powmod(5, 3, 13), 8);
+        // x⁰ mod 1 is 0, not 1.
+        assert_eq!(powmod(3, 0, 1), 0);
+        assert_eq!(powmod(0, 0, 1), 0);
         // Fermat: g^(p-1) = 1 mod p.
         assert_eq!(powmod(G, P - 1, P), 1);
+    }
+
+    /// The `u128 %` kernel every modulus used before the Mersenne fold.
+    fn mulmod_reference(a: u64, b: u64, m: u64) -> u64 {
+        ((a as u128 * b as u128) % m as u128) as u64
+    }
+
+    /// Square-and-multiply over [`mulmod_reference`].
+    fn powmod_reference(mut base: u64, mut exp: u64, m: u64) -> u64 {
+        let mut acc = 1 % m;
+        base %= m;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = mulmod_reference(acc, base, m);
+            }
+            base = mulmod_reference(base, base, m);
+            exp >>= 1;
+        }
+        acc
+    }
+
+    /// Deterministic pseudo-random words (SplitMix64 over a counter).
+    fn words(seed: u64) -> impl Iterator<Item = u64> {
+        (0u64..).map(move |i| crate::hash::mix64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    }
+
+    #[test]
+    fn mersenne_mulmod_matches_division() {
+        let edges = [0, 1, 2, P - 2, P - 1, 1 << 60, (1 << 61) - 2];
+        for &a in &edges {
+            for &b in &edges {
+                assert_eq!(mulmod(a, b, P), mulmod_reference(a, b, P), "{a} * {b}");
+            }
+        }
+        let mut it = words(0x6D75_6C6D_6F64);
+        for _ in 0..100_000 {
+            let (a, b) = (it.next().unwrap() % P, it.next().unwrap() % P);
+            assert_eq!(mulmod(a, b, P), mulmod_reference(a, b, P), "{a} * {b}");
+        }
+    }
+
+    #[test]
+    fn powmod_matches_the_division_kernel() {
+        // Bases at and above P reach the fold only after `base %= m`.
+        let bases = [0, 1, G, P - 1, P, P + 1, P + 5, 2 * P, u64::MAX];
+        let exps = [0, 1, 2, 3, Q - 1, Q, P, u64::MAX];
+        for &b in &bases {
+            for &e in &exps {
+                assert_eq!(powmod(b, e, P), powmod_reference(b, e, P), "{b}^{e}");
+            }
+        }
+        let mut it = words(0x706F_776D_6F64);
+        for _ in 0..2_000 {
+            let (b, e) = (it.next().unwrap(), it.next().unwrap());
+            assert_eq!(powmod(b, e, P), powmod_reference(b, e, P), "{b}^{e}");
+            // Other moduli keep the division path.
+            let m = it.next().unwrap() | 1;
+            assert_eq!(
+                powmod(b, e, m),
+                powmod_reference(b, e, m),
+                "{b}^{e} mod {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn known_answer_signatures() {
+        // Pinned before the Mersenne fold and the one-pass digest: both
+        // kernels must reproduce every key and signature bit for bit.
+        let check = |label: &[u8], nonce: u64, msg: &[u8], y: u64, s: u64, e: u64| {
+            let kp = KeyPair::derive(label, nonce);
+            assert_eq!(kp.public().element(), y);
+            let sig = kp.sign(msg);
+            assert_eq!(sig, Signature { s, e });
+            assert!(kp.public().verify(msg, &sig));
+        };
+        let y = 0x11c3_fd09_1266_8568;
+        check(
+            b"prov",
+            1,
+            b"message-0",
+            y,
+            0x1f39_63c2_7d2b_f49e,
+            0x164d_f35a_9ef4_bc02,
+        );
+        check(
+            b"prov",
+            1,
+            b"message-49",
+            y,
+            0x1aae_a76c_b782_1922,
+            0x0399_9e2b_fcbe_9074,
+        );
+        let y = 0x17a8_c237_3977_61c3;
+        check(
+            b"/prov0",
+            0,
+            b"",
+            y,
+            0x0f0d_4bbb_6ef3_771c,
+            0x0ab6_60dc_0eaa_0593,
+        );
+        let y = 0x174e_a0ca_8f6d_4343;
+        check(
+            b"provider/alpha",
+            0,
+            b"message",
+            y,
+            0x07cd_70b1_38a3_26c7,
+            0x167e_538d_7a6c_d03a,
+        );
+        assert_eq!(powmod(3, P - 2, P), 0x1555_5555_5555_5555);
+        assert_eq!(powmod(P + 5, 12_345, P), 0x0084_9830_04c4_15eb);
+        assert_eq!(powmod(u64::MAX, 3, P), 0x157);
     }
 
     #[test]

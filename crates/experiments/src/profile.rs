@@ -191,6 +191,8 @@ mod tests {
             "bf_lookup",
             "sig_verify",
             "pit_ops",
+            "cs",
+            "provider",
             "link.transit",
         ] {
             assert!(

@@ -4,15 +4,21 @@
 //! router holding a copy becomes a *content router* for that object and
 //! must enforce access control on cache hits (paper §3.A).
 //!
-//! Eviction is least-recently-used, implemented with a use-stamp index
-//! (`BTreeMap<stamp, name>`), giving `O(log n)` insert/touch/evict.
+//! Eviction is strict least-recently-used. Entries live in a slab
+//! (`Vec<Slot>`) threaded by an intrusive recency list and indexed by a
+//! `HashMap<Name, u32>`, so insert, touch, evict and remove are all `O(1)`;
+//! a full store evicts by overwriting its least-recently-used slot in
+//! place.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use tactic_sim::time::SimTime;
 
 use crate::name::Name;
 use crate::packet::Data;
+
+/// The null link of the recency list.
+const NIL: u32 = u32::MAX;
 
 /// An LRU Data cache.
 ///
@@ -34,18 +40,26 @@ use crate::packet::Data;
 #[derive(Debug, Clone)]
 pub struct ContentStore {
     capacity: usize,
-    entries: HashMap<Name, Entry>,
-    order: BTreeMap<u64, Name>,
-    clock: u64,
+    /// Every cached packet, densely packed; `index` maps each name to its
+    /// slot.
+    slots: Vec<Slot>,
+    index: HashMap<Name, u32>,
+    /// Most recently used slot (`NIL` when empty).
+    head: u32,
+    /// Least recently used slot: the next victim (`NIL` when empty).
+    tail: u32,
     hits: u64,
     misses: u64,
 }
 
 #[derive(Debug, Clone)]
-struct Entry {
+struct Slot {
     data: Data,
-    stamp: u64,
     inserted: SimTime,
+    /// The next more recently used slot.
+    newer: u32,
+    /// The next less recently used slot.
+    older: u32,
 }
 
 impl ContentStore {
@@ -54,17 +68,47 @@ impl ContentStore {
     pub fn new(capacity: usize) -> Self {
         ContentStore {
             capacity,
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
-            clock: 0,
+            slots: Vec::new(),
+            index: HashMap::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn next_stamp(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { newer, older, .. } = self.slots[i as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Links detached slot `i` in as the most recently used.
+    fn push_front(&mut self, i: u32) {
+        let old_head = self.head;
+        let slot = &mut self.slots[i as usize];
+        slot.newer = NIL;
+        slot.older = old_head;
+        match old_head {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].newer = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` as the most recently used.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
     }
 
     /// Inserts (or refreshes) a Data packet, evicting the LRU entry if at
@@ -80,38 +124,46 @@ impl ContentStore {
         if self.capacity == 0 {
             return;
         }
+        if let Some(&i) = self.index.get(data.name()) {
+            let slot = &mut self.slots[i as usize];
+            slot.data = data;
+            slot.inserted = now;
+            self.touch(i);
+            return;
+        }
         let name = data.name().clone();
-        let stamp = self.next_stamp();
-        let entry = Entry {
-            data,
-            stamp,
-            inserted: now,
+        let i = if self.slots.len() < self.capacity {
+            let i = u32::try_from(self.slots.len()).expect("fewer than u32::MAX cached packets");
+            self.slots.push(Slot {
+                data,
+                inserted: now,
+                newer: NIL,
+                older: NIL,
+            });
+            self.push_front(i);
+            i
+        } else {
+            let i = self.tail;
+            let slot = &mut self.slots[i as usize];
+            let victim = std::mem::replace(&mut slot.data, data);
+            slot.inserted = now;
+            self.index.remove(victim.name());
+            self.touch(i);
+            i
         };
-        if let Some(old) = self.entries.insert(name.clone(), entry) {
-            self.order.remove(&old.stamp);
-        }
-        self.order.insert(stamp, name);
-        while self.entries.len() > self.capacity {
-            let (&oldest, _) = self.order.iter().next().expect("non-empty order");
-            let victim = self.order.remove(&oldest).expect("indexed name");
-            self.entries.remove(&victim);
-        }
+        self.index.insert(name, i);
     }
 
     /// Exact-name lookup; touches the entry on hit and updates hit/miss
     /// counters.
     pub fn get(&mut self, name: &Name) -> Option<&Data> {
-        if !self.entries.contains_key(name) {
+        let Some(&i) = self.index.get(name) else {
             self.misses += 1;
             return None;
-        }
+        };
         self.hits += 1;
-        let stamp = self.next_stamp();
-        let entry = self.entries.get_mut(name).expect("checked above");
-        self.order.remove(&entry.stamp);
-        entry.stamp = stamp;
-        self.order.insert(stamp, name.clone());
-        Some(&entry.data)
+        self.touch(i);
+        Some(&self.slots[i as usize].data)
     }
 
     /// Like [`get`](Self::get), but honours NDN's `MustBeFresh`: an entry
@@ -120,12 +172,13 @@ impl ContentStore {
     /// documented on [`Data`]). Stale entries count as misses and are
     /// evicted.
     pub fn get_fresh(&mut self, name: &Name, now: SimTime) -> Option<&Data> {
-        let stale = match self.entries.get(name) {
+        let stale = match self.index.get(name) {
             None => {
                 self.misses += 1;
                 return None;
             }
-            Some(e) => {
+            Some(&i) => {
+                let e = &self.slots[i as usize];
                 let f = e.data.freshness_ms();
                 f != 0
                     && now.saturating_since(e.inserted)
@@ -142,27 +195,43 @@ impl ContentStore {
 
     /// Exact-name peek without touching LRU order or counters.
     pub fn peek(&self, name: &Name) -> Option<&Data> {
-        self.entries.get(name).map(|e| &e.data)
+        self.index.get(name).map(|&i| &self.slots[i as usize].data)
     }
 
-    /// Removes an entry; returns whether it existed.
+    /// Removes an entry; returns whether it existed. The last slot moves
+    /// into the freed one, so the slab stays dense.
     pub fn remove(&mut self, name: &Name) -> bool {
-        if let Some(old) = self.entries.remove(name) {
-            self.order.remove(&old.stamp);
-            true
-        } else {
-            false
+        let Some(i) = self.index.remove(name) else {
+            return false;
+        };
+        self.unlink(i);
+        self.slots.swap_remove(i as usize);
+        if let Some(moved) = self.slots.get(i as usize) {
+            let (newer, older) = (moved.newer, moved.older);
+            *self
+                .index
+                .get_mut(moved.data.name())
+                .expect("every slot is indexed") = i;
+            match newer {
+                NIL => self.head = i,
+                n => self.slots[n as usize].older = i,
+            }
+            match older {
+                NIL => self.tail = i,
+                o => self.slots[o as usize].newer = i,
+            }
         }
+        true
     }
 
     /// Current number of cached packets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The configured capacity.
@@ -305,6 +374,178 @@ mod tests {
             cs.get(&name("/stale-ok")).is_some(),
             "get is freshness-agnostic"
         );
+    }
+
+    /// The `HashMap` + `BTreeMap` use-stamp store the slab replaced, kept
+    /// as the reference the slab must match operation for operation.
+    mod reference {
+        use std::collections::{BTreeMap, HashMap};
+
+        use tactic_sim::time::{SimDuration, SimTime};
+
+        use crate::name::Name;
+        use crate::packet::Data;
+
+        pub struct StampStore {
+            capacity: usize,
+            entries: HashMap<Name, (Data, u64, SimTime)>,
+            order: BTreeMap<u64, Name>,
+            clock: u64,
+            pub hits: u64,
+            pub misses: u64,
+            /// Every evicted name, in eviction order.
+            pub victims: Vec<Name>,
+        }
+
+        impl StampStore {
+            pub fn new(capacity: usize) -> Self {
+                StampStore {
+                    capacity,
+                    entries: HashMap::new(),
+                    order: BTreeMap::new(),
+                    clock: 0,
+                    hits: 0,
+                    misses: 0,
+                    victims: Vec::new(),
+                }
+            }
+
+            fn next_stamp(&mut self) -> u64 {
+                self.clock += 1;
+                self.clock
+            }
+
+            pub fn insert_at(&mut self, data: Data, now: SimTime) {
+                if self.capacity == 0 {
+                    return;
+                }
+                let name = data.name().clone();
+                let stamp = self.next_stamp();
+                if let Some(old) = self.entries.insert(name.clone(), (data, stamp, now)) {
+                    self.order.remove(&old.1);
+                }
+                self.order.insert(stamp, name);
+                while self.entries.len() > self.capacity {
+                    let (&oldest, _) = self.order.iter().next().expect("non-empty order");
+                    let victim = self.order.remove(&oldest).expect("indexed name");
+                    self.entries.remove(&victim);
+                    self.victims.push(victim);
+                }
+            }
+
+            pub fn get(&mut self, name: &Name) -> Option<&Data> {
+                if !self.entries.contains_key(name) {
+                    self.misses += 1;
+                    return None;
+                }
+                self.hits += 1;
+                let stamp = self.next_stamp();
+                let entry = self.entries.get_mut(name).expect("checked above");
+                self.order.remove(&entry.1);
+                entry.1 = stamp;
+                self.order.insert(stamp, name.clone());
+                Some(&entry.0)
+            }
+
+            pub fn get_fresh(&mut self, name: &Name, now: SimTime) -> Option<&Data> {
+                let stale = match self.entries.get(name) {
+                    None => {
+                        self.misses += 1;
+                        return None;
+                    }
+                    Some((d, _, inserted)) => {
+                        let f = d.freshness_ms();
+                        f != 0
+                            && now.saturating_since(*inserted) > SimDuration::from_millis(f as u64)
+                    }
+                };
+                if stale {
+                    self.remove(name);
+                    self.misses += 1;
+                    return None;
+                }
+                self.get(name)
+            }
+
+            pub fn peek(&self, name: &Name) -> Option<&Data> {
+                self.entries.get(name).map(|e| &e.0)
+            }
+
+            pub fn remove(&mut self, name: &Name) -> bool {
+                if let Some(old) = self.entries.remove(name) {
+                    self.order.remove(&old.1);
+                    true
+                } else {
+                    false
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.entries.len()
+            }
+        }
+    }
+
+    #[test]
+    fn slab_matches_the_stamp_store_reference() {
+        use tactic_sim::rng::Rng;
+
+        for capacity in [0, 1, 2, 7, 300] {
+            for seed in 0..3u64 {
+                let mut rng = Rng::seed_from_u64(seed * 1_000 + capacity as u64);
+                // A universe a little larger than the store, so inserts
+                // both refresh and evict.
+                let universe: Vec<Name> = (0..capacity + capacity / 2 + 3)
+                    .map(|i| name(&format!("/p/obj{i}")))
+                    .collect();
+                let mut cs = ContentStore::new(capacity);
+                let mut reference = reference::StampStore::new(capacity);
+                let mut victims = Vec::new();
+                let mut now = SimTime::ZERO;
+                for step in 0..3_000 {
+                    now += tactic_sim::time::SimDuration::from_millis(rng.below(40));
+                    let n = rng.choose(&universe).clone();
+                    let ctx = format!("capacity {capacity}, seed {seed}, step {step}, {n}");
+                    match rng.below(10) {
+                        op @ 0..=4 => {
+                            let mut d =
+                                Data::new(n.clone(), Payload::Synthetic(rng.below_usize(64)));
+                            d.set_freshness_ms([0, 0, 50, 200][rng.below_usize(4)]);
+                            let before: Vec<&Name> =
+                                universe.iter().filter(|u| cs.peek(u).is_some()).collect();
+                            let at = if op < 2 { SimTime::ZERO } else { now };
+                            if op < 2 {
+                                cs.insert(d.clone());
+                            } else {
+                                cs.insert_at(d.clone(), at);
+                            }
+                            reference.insert_at(d, at);
+                            victims.extend(
+                                before.into_iter().filter(|u| cs.peek(u).is_none()).cloned(),
+                            );
+                        }
+                        5 | 6 => assert_eq!(cs.get(&n), reference.get(&n), "get: {ctx}"),
+                        7 => assert_eq!(
+                            cs.get_fresh(&n, now),
+                            reference.get_fresh(&n, now),
+                            "get_fresh: {ctx}"
+                        ),
+                        8 => assert_eq!(cs.peek(&n), reference.peek(&n), "peek: {ctx}"),
+                        _ => assert_eq!(cs.remove(&n), reference.remove(&n), "remove: {ctx}"),
+                    }
+                    assert_eq!(cs.len(), reference.len(), "len: {ctx}");
+                    assert_eq!(cs.hits(), reference.hits, "hits: {ctx}");
+                    assert_eq!(cs.misses(), reference.misses, "misses: {ctx}");
+                    assert_eq!(victims, reference.victims, "victims: {ctx}");
+                }
+                for u in &universe {
+                    assert_eq!(cs.peek(u), reference.peek(u), "final {u}");
+                }
+                if capacity > 0 {
+                    assert!(!victims.is_empty(), "capacity {capacity} never evicted");
+                }
+            }
+        }
     }
 
     #[test]
